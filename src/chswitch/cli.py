@@ -34,7 +34,6 @@ class RunConfig:
     eps_unitary: float = matrices.DEFAULT_EPS_UNITARY
     eps_det: float = switch.DEFAULT_EPS_DET
     d_max: int = matrices.DEFAULT_D_MAX
-    n_max: int = scs.DEFAULT_N_MAX
     budget: int | None = scs.DEFAULT_COMBO_BUDGET
     seed: int = DEFAULT_SEED
     pretty: bool = False
@@ -45,18 +44,26 @@ class RunConfig:
                 raise DomainError(f"{name} must be positive")
 
 
+def _budget(text: str) -> int | None:
+    """``--budget``: a non-negative combination count, or ``unlimited``."""
+    if text == "unlimited":
+        return None
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0 or 'unlimited', got {text!r}")
+    return value
+
+
 def _config(args) -> RunConfig:
-    raw = getattr(args, "budget", str(scs.DEFAULT_COMBO_BUDGET))
-    if isinstance(raw, str):
-        budget = None if raw == "unlimited" else int(raw)
-    else:
-        budget = raw
     return RunConfig(
         eps_phase=getattr(args, "eps_phase", matrices.DEFAULT_EPS_PHASE),
         eps_unitary=getattr(args, "eps_unitary", matrices.DEFAULT_EPS_UNITARY),
         eps_det=getattr(args, "eps_det", switch.DEFAULT_EPS_DET),
         d_max=getattr(args, "d_max", matrices.DEFAULT_D_MAX),
-        budget=budget,
+        budget=getattr(args, "budget", scs.DEFAULT_COMBO_BUDGET),
         seed=getattr(args, "seed", DEFAULT_SEED),
         pretty=getattr(args, "pretty", False),
     )
@@ -279,7 +286,7 @@ def _parse_perm_strings(text: str):
 def cmd_scs_solve(args) -> int:
     cfg = _config(args)
     perms = _parse_perm_strings(args.perms)
-    result = scs.scs_exact(perms, n_max=getattr(args, "n_max", scs.DEFAULT_N_MAX))
+    result = scs.scs_exact(perms, n_max=args.n_max)
     payload = {"length": result.length, "qpg": round(result.length / len(perms[0]), 12)}
     if args.witness:
         payload["witness"] = "".join(str(c) for c in result.witness)
@@ -331,7 +338,7 @@ def _add_common(sub, *, tolerances=True, seed=False, budget=False):
     if seed:
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     if budget:
-        sub.add_argument("--budget", default=str(scs.DEFAULT_COMBO_BUDGET),
+        sub.add_argument("--budget", type=_budget, default=scs.DEFAULT_COMBO_BUDGET,
                          help="max exhaustive combinations, or 'unlimited'")
     sub.add_argument("--pretty", action="store_true", help="indent JSON output")
 

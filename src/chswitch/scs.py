@@ -9,11 +9,17 @@ strings, so the convention only shows in the witnesses.
 
 The solver runs A* over canonical states. A state is the antichain of
 remaining suffixes: suffixes already contained in another are dropped,
-which both shrinks the space and makes memoization content-based. The
-heuristic is the largest exact two-string SCS among the remaining
-suffixes (suffix lengths minus their LCS), which is admissible and
-consistent. Certified optimality plus an independent brute-force oracle
-(iterative deepening, used in tests) back every census number.
+which both shrinks the space and makes memoization content-based. Each
+suffix is an integer ID in a per-N table, so a state is one Python int
+used as a bitset. The table is built lazily, only for the suffixes of the
+orderings actually solved (never the N! of them), and is dropped between
+solves once it outgrows every suffix over 6 symbols. Per ID it holds the
+tail's ID, containment masks and the exact two-string SCS length with
+every other ID, so advancing a state, re-canonicalizing it and its
+heuristic are mask operations. The heuristic is the largest two-string
+SCS among the remaining suffixes, which is admissible and consistent.
+Certified optimality plus an independent brute-force oracle (iterative
+deepening, used in tests) back every census number.
 
 The census enumerates gate-ordering combinations that contain the
 identity ordering, solves each one exactly, and aggregates with integer
@@ -28,7 +34,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
@@ -64,61 +69,158 @@ def _normalize_perms(perms: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], .
     return seqs
 
 
-@lru_cache(maxsize=None)
-def _suffix_lcs(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    la, lb = len(a), len(b)
-    row = [0] * (lb + 1)
-    for i in range(la - 1, -1, -1):
-        new = [0] * (lb + 1)
-        for j in range(lb - 1, -1, -1):
-            new[j] = 1 + row[j + 1] if a[i] == b[j] else max(row[j], new[j + 1])
-        row = new
-    return row[0]
+# A table is dropped between solves once it holds more IDs than this. Every
+# suffix of every ordering over N <= 6 symbols fits (1957 IDs at N = 6), so
+# only solves over more symbols than the default n_max ever rebuild one.
+_MAX_IDS = 2048
 
 
-def _canonical(suffixes: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Drop empty suffixes and suffixes subsumed by another, sort the rest."""
-    uniq = sorted({s for s in suffixes if s})
-    return tuple(
-        s for s in uniq if not any(len(s) < len(t) and is_supersequence(t, s) for t in uniq)
-    )
+class _SuffixTable:
+    """Integer IDs for the suffixes of orderings over n symbols, grown on demand.
+
+    ID 0 is the empty suffix, which never enters a state. A suffix gets the
+    next ID the first time a solve reaches it, after its tail. Per ID the
+    table keeps:
+
+    * ``tail[i]``, the ID of the suffix without its first symbol, and
+      ``starts[c]``, the mask of IDs that begin with symbol c;
+    * ``sup[i]``, the mask of IDs that hold suffix i as a proper subsequence;
+    * ``scs[i][j]`` for every ``j <= i``, the exact SCS length of suffixes i
+      and j, filled from the pairs of their tails by the two-string suffix
+      recursion;
+    * ``ge[i][v]``, the mask of IDs whose SCS length with suffix i is at
+      least v, so that the heuristic walks each member's row upward instead
+      of visiting every pair.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.ids: dict[tuple[int, ...], int] = {(): 0}
+        self.length = [0]
+        self.head = [-1]
+        self.tail = [0]
+        self.starts = [0] * n
+        self.sup = [0]
+        self.scs = [bytearray(1)]
+        self.ge = [[]]
+
+    def pair(self, i: int, j: int) -> int:
+        return self.scs[i][j] if i >= j else self.scs[j][i]
+
+    def intern(self, s: tuple[int, ...]) -> int:
+        """The ID of suffix s, giving IDs to it and its own suffixes as needed."""
+        for k in range(len(s) - 1, -1, -1):
+            if s[k:] not in self.ids:
+                self._add(s[k:])
+        return self.ids[s]
+
+    def _add(self, s: tuple[int, ...]) -> None:
+        i, ti = len(self.length), self.ids[s[1:]]
+        n, bit, head = len(s), 1 << i, s[0]
+        length, tail, sup, ge = self.length, self.tail, self.sup, self.ge
+        row = bytearray(i + 1)
+        row[0] = row[i] = n
+        my_ge = [-1] * (n + 1) + [0] * (2 * self.n - n + 1)
+        my_sup = 0
+        for j in range(1, i):
+            tj = tail[j]
+            if head == self.head[j]:
+                v = 1 + self.pair(ti, tj)
+            else:
+                v = 1 + min(self.pair(ti, j), row[tj])
+            row[j] = v
+            lj = length[j]
+            # An SCS as long as one of the two strings is that string itself.
+            if v == lj:
+                my_sup |= 1 << j
+            elif v == n:
+                sup[j] |= bit
+            for w in range(n + 1, v + 1):
+                my_ge[w] |= 1 << j
+            for w in range(lj + 1, v + 1):
+                ge[j][w] |= bit
+        self.ids[s] = i
+        self.length.append(n)
+        self.head.append(head)
+        self.tail.append(ti)
+        self.starts[head] |= bit
+        sup.append(my_sup)
+        self.scs.append(row)
+        ge.append(my_ge)
 
 
-def _lower_bound(state: tuple[tuple[int, ...], ...]) -> int:
-    if not state:
-        return 0
-    best = max(len(s) for s in state)
-    for a, b in itertools.combinations(state, 2):
-        v = len(a) + len(b) - _suffix_lcs(a, b)
-        if v > best:
-            best = v
-    return best
+_tables: dict[int, _SuffixTable] = {}
 
 
-@lru_cache(maxsize=1 << 15)
+def _table(n: int) -> _SuffixTable:
+    table = _tables.get(n)
+    if table is None or len(table.length) > _MAX_IDS:
+        table = _tables[n] = _SuffixTable(n)
+    return table
+
+
 def _solve(seqs: tuple[tuple[int, ...], ...]) -> ScsResult:
-    start = _canonical(seqs)
-    best_g: dict[tuple, int] = {start: 0}
-    parent: dict[tuple, tuple | None] = {start: None}
-    heap: list[tuple[int, int, tuple]] = [(_lower_bound(start), 0, start)]
+    """A* over antichain states coded as bitsets of suffix IDs.
+
+    Entries of equal f and g leave the heap in push order, so the witness
+    does not depend on how a reused table happened to number the suffixes.
+    """
+    n = len(seqs[0])
+    table = _table(n)
+    start = 0
+    for s in seqs:  # distinct orderings of equal length: already an antichain
+        start |= 1 << table.intern(s)
+    tail, sup, starts, ge = table.tail, table.sup, table.starts, table.ge
+
+    def lower_bound(state: int) -> int:
+        """Largest SCS length of two members, a member paired with itself included."""
+        best, rest = 0, state
+        while rest:
+            low = rest & -rest
+            row = ge[low.bit_length() - 1]
+            while row[best + 1] & state:
+                best += 1
+            rest ^= low
+        return best
+
+    best_g = {start: 0}
+    parent: dict[int, tuple[int, int]] = {}
+    pushed = 0
+    heap = [(lower_bound(start), 0, pushed, start)]
     while heap:
-        f, g, state = heappop(heap)
-        if g > best_g.get(state, g):
+        _, g, _, state = heappop(heap)
+        if g > best_g[state]:
             continue
         if not state:
             symbols = []
-            cur = state
-            while parent[cur] is not None:
-                cur, c = parent[cur]
+            while state != start:
+                state, c = parent[state]
                 symbols.append(c)
             return ScsResult(g, tuple(reversed(symbols)))
-        for c in sorted({s[0] for s in state}):
-            nxt = _canonical(tuple(s[1:] if s[0] == c else s for s in state))
-            ng = g + 1
+        ng = g + 1
+        for c in range(n):
+            moved = state & starts[c]
+            if not moved:
+                continue
+            # The moved members advance to their tails. Only a tail can fall
+            # below another member: the others were an antichain already.
+            nxt = full = state ^ moved
+            tails = []
+            while moved:
+                low = moved & -moved
+                t = tail[low.bit_length() - 1]
+                if t:
+                    tails.append(t)
+                    full |= 1 << t
+                moved ^= low
+            for t in tails:
+                if not sup[t] & full:
+                    nxt |= 1 << t
             if ng < best_g.get(nxt, ng + 1):
                 best_g[nxt] = ng
                 parent[nxt] = (state, c)
-                heappush(heap, (ng + _lower_bound(nxt), ng, nxt))
+                pushed += 1
+                heappush(heap, (ng + lower_bound(nxt), ng, pushed, nxt))
     raise AssertionError("search space exhausted without reaching the empty state")
 
 
@@ -246,7 +348,7 @@ def _sampled_combos(n: int, p: int, count: int, seed: int):
         yield (ident,) + tuple(rng.sample(others, p - 1))
 
 
-def _aggregate(n: int, p: int, combos, mode: str, sample_count: int | None) -> CensusRow:
+def _aggregate(n: int, p: int, combos, mode: str) -> CensusRow:
     count = 0
     mn, mx = None, 0
     total = 0
@@ -293,10 +395,10 @@ def census(
                 required=required,
                 budget=budget,
             )
-        return _aggregate(n, p, _identity_combos(n, p), "exhaustive", None)
+        return _aggregate(n, p, _identity_combos(n, p), "exhaustive")
     if sample < 1:
         raise DomainError("sample count must be positive")
-    return _aggregate(n, p, _sampled_combos(n, p, sample, seed), "sample", sample)
+    return _aggregate(n, p, _sampled_combos(n, p, sample, seed), "sample")
 
 
 def census_sweep(

@@ -238,3 +238,29 @@ def test_cli_pretty_flag(tmp_path, capsys):
     run_cli(capsys, "matrix", "gen", "--family", "fourier", "--d", "2", "--out", str(mat))
     _, out, _ = run_cli(capsys, "matrix", "classify", str(mat), "--pretty")
     assert out.startswith("{\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["scs", "census", "--n", "3", "--p", "4", "--budget", "abc"], 2),
+        (["scs", "census", "--n", "3", "--p", "4", "--budget", "-1"], 2),
+        (["scs", "census", "--n", "3", "--p", "4", "--budget", "1.5"], 2),
+        (["scs", "sweep", "--n", "3", "--p-min", "2", "--p-max", "3", "--budget", "abc"], 2),
+        (["scs", "sweep", "--n", "3", "--p-min", "2", "--p-max", "3", "--budget", ""], 2),
+        (["scs", "census", "--n", "3", "--p", "4", "--budget", "unlimited"], 0),
+        (["scs", "census", "--n", "3", "--p", "4", "--budget", "10"], 0),
+        (["scs", "census", "--n", "3", "--p", "4", "--budget", "9"], 1),
+        (["scs", "sweep", "--n", "3", "--p-min", "2", "--p-max", "3", "--budget", "10"], 0),
+    ],
+)
+def test_scs_budget_argument(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert "Traceback" not in err
+    if code == 2:
+        assert "--budget" in err and out == ""
+    elif code == 1:
+        assert json.loads(err)["code"] == "budget_exceeded"
+    else:
+        assert out.startswith("N,p,combos")

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chswitch import scs
 from chswitch.errors import BudgetExceeded, DomainError, LimitExceeded
 from chswitch.promise import MINIMAL_CH4_PERMS, shift_permutations
 from chswitch.scs import (
@@ -202,3 +205,64 @@ def test_csv_schema():
     assert fields[6] == "5.400000"
     assert fields[9] == "1.800000"
     assert fields[10] == "1.000000"
+
+
+# --- properties --------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@st.composite
+def identity_sets(draw, n_max=4, p_max=6):
+    """A set of orderings over n <= n_max symbols that contains the identity."""
+    n = draw(st.integers(2, n_max))
+    ident = tuple(range(n))
+    others = [pm for pm in itertools.permutations(ident) if pm != ident]
+    extra = draw(st.lists(st.sampled_from(others), max_size=p_max - 1, unique=True))
+    return [ident] + extra
+
+
+@PROPERTY
+@given(identity_sets())
+def test_exact_matches_brute_oracle(perms):
+    assert scs_exact(perms).length == scs_brute_oracle(perms, len(perms) * len(perms[0]))
+
+
+@PROPERTY
+@given(identity_sets(n_max=5, p_max=8))
+def test_witness_has_reported_length_and_covers_every_ordering(perms):
+    res = scs_exact(perms)
+    assert len(res.witness) == res.length
+    assert all(is_supersequence(res.witness, pm) for pm in perms)
+
+
+@PROPERTY
+@given(identity_sets(n_max=5, p_max=8), st.data())
+def test_length_invariant_under_relabeling_and_reversal(perms, data):
+    n = len(perms[0])
+    sigma = data.draw(st.permutations(range(n)))
+    length = scs_exact(perms).length
+    assert scs_exact([tuple(sigma[c] for c in pm) for pm in perms]).length == length
+    assert scs_exact([pm[::-1] for pm in perms]).length == length
+
+
+def test_result_does_not_depend_on_cache_state(monkeypatch):
+    target = [(0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0), (1, 0, 3, 2), (0, 3, 2, 1)]
+    monkeypatch.setattr(scs, "_tables", {})
+    cold = scs_exact(target)
+    # Fresh tables again, filled by other sets first, so the suffixes of the
+    # target get other IDs than in the cold solve.
+    monkeypatch.setattr(scs, "_tables", {})
+    rng = random.Random(41)
+    perms4 = list(itertools.permutations(range(4)))
+    for _ in range(30):
+        scs_exact(rng.sample(perms4, rng.randint(2, 8)))
+    assert scs_exact(target) == cold
+
+
+def test_raised_n_max_solves_long_orderings():
+    forward, backward = tuple(range(8)), tuple(reversed(range(8)))
+    res = scs_exact([forward, backward], n_max=8)
+    assert res.length == 2 * 8 - 1
+    assert len(res.witness) == res.length
+    assert is_supersequence(res.witness, forward) and is_supersequence(res.witness, backward)
