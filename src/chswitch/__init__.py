@@ -17,6 +17,7 @@ from .errors import (
     IncompatibleDimension,
     KindMismatch,
     LimitExceeded,
+    MalformedInstance,
     MalformedMatrix,
     NotButsonError,
     NotDephased,

@@ -6,7 +6,8 @@ verification), ``switch`` (protocol runs and sweeps) and ``scs``
 (supersequence solving, census, sweep). Outputs are machine-readable
 JSON on stdout (``--pretty`` for humans) or CSV for census tables;
 domain errors become one JSON object on stderr with a stable ``code``
-field and exit status 1. Usage errors exit with status 2.
+field and exit status 1, and so does a file that cannot be read or
+written (code ``io_error``). Usage errors exit with status 2.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .errors import ChswitchError, DomainError
 from .matrices import Butson, CHMatrix
 
 DEFAULT_SEED = 0
+# error code of a file that cannot be read or written
+IO_ERROR = "io_error"
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,43 @@ def _budget(text: str) -> int | None:
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a count >= 0 or 'unlimited', got {text!r}")
     return value
+
+
+def _turn(text: str) -> Fraction:
+    """``--a-turn``: an exact fraction of a turn written ``num/den``."""
+    try:
+        num, den = text.split("/")
+        return Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected num/den with integers and den != 0, got {text!r}"
+        ) from None
+
+
+def _radian_list(text: str) -> list[float]:
+    """``--a`` of ``switch sweep``: comma-separated radian values."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _perm_strings(text: str) -> list[tuple[int, ...]]:
+    """``--perms``: comma-separated orderings written as digit strings."""
+    out = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        try:
+            out.append(tuple(int(ch) for ch in token))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"ordering {token!r} is not a string of digits") from None
+    return out
+
+
+class _UsageError(Exception):
+    """A combination of arguments that no parser ``type=`` can reject alone."""
 
 
 def _config(args) -> RunConfig:
@@ -89,9 +129,8 @@ def _round_floats(obj, digits=12):
 
 
 def _parse_a(args) -> float | Fraction:
-    if getattr(args, "a_turn", None):
-        num, den = args.a_turn.split("/")
-        return Fraction(int(num), int(den))
+    if getattr(args, "a_turn", None) is not None:
+        return args.a_turn
     if getattr(args, "a", None) is None:
         raise DomainError("this family needs --a (radians) or --a-turn (num/den of a turn)")
     return float(args.a)
@@ -221,8 +260,11 @@ def cmd_switch_run(args) -> int:
     psi = None
     if args.psi:
         with open(args.psi, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        psi = [complex(x[0], x[1]) if isinstance(x, list) else complex(x) for x in raw]
+            try:
+                raw = json.load(fh)
+                psi = [complex(x[0], x[1]) if isinstance(x, list) else complex(x) for x in raw]
+            except (ValueError, TypeError, IndexError) as exc:
+                raise DomainError(f"psi must be a JSON list of numbers or [re, im] pairs: {exc}") from exc
     elif args.random_psi is not None:
         from .gates import QuditGate
 
@@ -256,7 +298,7 @@ def cmd_switch_sweep(args) -> int:
     elif args.family == "f4":
         if not args.a:
             raise DomainError("f4 sweep needs --a with comma-separated radian values")
-        for a in (float(x) for x in args.a.split(",")):
+        for a in args.a:
             m = matrices.f4_family(a)
             rep = switch.sweep_columns(m, args.target, dim=args.dim, eps_det=cfg.eps_det)
             reports.append({"family": "f4", "a": a, "worst_deviation": rep.worst_deviation})
@@ -273,21 +315,10 @@ def cmd_switch_sweep(args) -> int:
 
 # --- scs ---------------------------------------------------------------------
 
-def _parse_perm_strings(text: str):
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        out.append(tuple(int(ch) for ch in token))
-    return out
-
-
 def cmd_scs_solve(args) -> int:
     cfg = _config(args)
-    perms = _parse_perm_strings(args.perms)
-    result = scs.scs_exact(perms, n_max=args.n_max)
-    payload = {"length": result.length, "qpg": round(result.length / len(perms[0]), 12)}
+    result = scs.scs_exact(args.perms, n_max=args.n_max)
+    payload = {"length": result.length, "qpg": round(result.length / len(args.perms[0]), 12)}
     if args.witness:
         payload["witness"] = "".join(str(c) for c in result.witness)
         payload["witness_order"] = "application"
@@ -310,6 +341,8 @@ def cmd_scs_census(args) -> int:
 
 def cmd_scs_sweep(args) -> int:
     cfg = _config(args)
+    if args.p_min > args.p_max:
+        raise _UsageError(f"--p-min {args.p_min} exceeds --p-max {args.p_max}")
     rows = scs.census_sweep(
         args.n,
         range(args.p_min, args.p_max + 1),
@@ -357,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--family", required=True, choices=["fourier", "f4", "sylvester"])
     gen.add_argument("--d", type=int)
     gen.add_argument("--a", type=float, help="f4 parameter in radians, [0, pi)")
-    gen.add_argument("--a-turn", help="f4 parameter as an exact fraction of a turn, e.g. 1/4")
+    gen.add_argument("--a-turn", type=_turn,
+                     help="f4 parameter as an exact fraction of a turn, e.g. 1/4")
     gen.add_argument("--k", type=int, help="sylvester doubling exponent")
     gen.add_argument("--out")
     _add_common(gen)
@@ -385,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--dim", type=int, help="target dimension (qudit)")
     build.add_argument("--alpha", type=float, default=1.0, help="translation size (cv/minimal)")
     build.add_argument("--a", type=float, help="f4 parameter (minimal target)")
-    build.add_argument("--a-turn", help="f4 parameter as a fraction of a turn (minimal target)")
+    build.add_argument("--a-turn", type=_turn,
+                       help="f4 parameter as a fraction of a turn (minimal target)")
     build.add_argument("--out")
     _add_common(build)
     build.set_defaults(func=cmd_promise_build)
@@ -407,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sw.add_parser("sweep")
     sweep_p.add_argument("--family", required=True, choices=["fourier", "f4", "sylvester"])
     sweep_p.add_argument("--dmax", type=int, help="fourier orders 2..dmax")
-    sweep_p.add_argument("--a", help="comma-separated f4 parameters in radians")
+    sweep_p.add_argument("--a", type=_radian_list, help="comma-separated f4 parameters in radians")
     sweep_p.add_argument("--k", type=int, help="sylvester exponent")
     sweep_p.add_argument("--target", required=True, choices=["qudit", "cv"])
     sweep_p.add_argument("--dim", type=int)
@@ -418,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="cmd", required=True
     )
     solve = sc.add_parser("solve")
-    solve.add_argument("--perms", required=True, help='comma-separated orderings, e.g. "012,102,120"')
+    solve.add_argument("--perms", required=True, type=_perm_strings,
+                       help='comma-separated orderings, e.g. "012,102,120"')
     solve.add_argument("--witness", action="store_true")
     solve.add_argument("--n-max", type=int, default=scs.DEFAULT_N_MAX)
     _add_common(solve, tolerances=False)
@@ -450,11 +486,16 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     except ChswitchError as exc:
         payload = {"code": exc.code, "message": str(exc)}
         payload.update(exc.payload)
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return 1
+    except OSError as exc:
+        payload = {"code": IO_ERROR, "message": str(exc)}
+    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    return 1
 
 
 def run() -> None:

@@ -21,6 +21,12 @@ class MalformedMatrix(ChswitchError):
     code = "malformed_matrix"
 
 
+class MalformedInstance(ChswitchError):
+    """Promise instance or gate-set JSON that does not have the expected shape."""
+
+    code = "malformed_instance"
+
+
 class DomainError(ChswitchError):
     code = "domain_error"
 

@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, KindMismatch
+from .errors import DimensionMismatch, DomainError, KindMismatch, MalformedInstance
 from .phaseutil import normalize_radians
 
 
@@ -145,14 +145,22 @@ def product_in_order(gates: Sequence[Gate], perm: Sequence[int]) -> Gate:
 
     ``perm[0]`` acts first, so the result is the operator product
     U[perm[-1]] ... U[perm[1]] U[perm[0]].
+
+    Displacement words are folded in running (theta, beta, gamma) sums:
+    each gate adds the :func:`weyl_compose` phase and displacement of one
+    step, and only the final word is built, so the phase is reduced mod
+    2*pi once instead of after every step.
     """
     kind = gate_kind(gates)
     perm = check_permutation(perm, len(gates))
     if kind == "weyl":
-        out = gates[perm[0]]
-        for idx in perm[1:]:
-            out = weyl_compose(gates[idx], out)
-        return out
+        theta = beta = gamma = 0.0
+        for idx in perm:
+            g = gates[idx]
+            theta += g.theta + 0.5 * (g.gamma * beta - g.beta * gamma)
+            beta += g.beta
+            gamma += g.gamma
+        return WeylOp(theta, beta, gamma)
     mat = gates[perm[0]].matrix
     for idx in perm[1:]:
         mat = gates[idx].matrix @ mat
@@ -217,16 +225,21 @@ def gateset_to_json(gates: Sequence[Gate]) -> dict:
 def gateset_from_json(obj) -> tuple[Gate, ...]:
     if not isinstance(obj, dict) or "kind" not in obj or "gates" not in obj:
         raise KindMismatch("gate set JSON must carry 'kind' and 'gates'")
-    if obj["kind"] == "weyl":
-        return tuple(
-            WeylOp(float(g["theta"]), float(g["beta"]), float(g["gamma"]))
-            for g in obj["gates"]
-        )
-    if obj["kind"] == "qudit":
-        dim = int(obj["dim"])
-        out = []
-        for rows in obj["gates"]:
-            m = np.array([[complex(re, im) for re, im in row] for row in rows])
-            out.append(QuditGate(dim, m))
-        return tuple(out)
+    try:
+        if obj["kind"] == "weyl":
+            return tuple(
+                WeylOp(float(g["theta"]), float(g["beta"]), float(g["gamma"]))
+                for g in obj["gates"]
+            )
+        if obj["kind"] == "qudit":
+            dim = int(obj["dim"])
+            out = []
+            for rows in obj["gates"]:
+                m = np.array([[complex(re, im) for re, im in row] for row in rows])
+                out.append(QuditGate(dim, m))
+            return tuple(out)
+    except KeyError as exc:
+        raise MalformedInstance(f"gate JSON missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise MalformedInstance(f"gate JSON is malformed: {exc}") from exc
     raise KindMismatch(f"unknown gate kind {obj['kind']!r}")

@@ -38,6 +38,8 @@ FLOAT = "float"
 DEFAULT_EPS_PHASE = 1e-9
 DEFAULT_EPS_UNITARY = 1e-9
 DEFAULT_D_MAX = 4096
+# (d, entry) pairs per block of the float Butson scan: a 128 KiB float array
+_SCAN_BLOCK = 2**14
 
 PhaseEntry = Union[Fraction, float]
 
@@ -79,7 +81,10 @@ class CHMatrix:
 
     @classmethod
     def from_radians(cls, radians: Sequence[Sequence]) -> "CHMatrix":
-        grid = tuple(tuple(normalize_radians(float(x)) for x in row) for row in radians)
+        values = [[float(x) for x in row] for row in radians]
+        if not all(math.isfinite(x) for row in values for x in row):
+            raise MalformedMatrix("phases must be finite numbers")
+        grid = tuple(tuple(normalize_radians(x) for x in row) for row in values)
         return cls(len(grid), FLOAT, grid)
 
     def phase_radians(self, j: int, k: int) -> float:
@@ -89,15 +94,33 @@ class CHMatrix:
         return entry
 
     def radians(self) -> np.ndarray:
-        """All phases as a float array of radians."""
-        return np.array(
-            [[self.phase_radians(j, k) for k in range(self.p)] for j in range(self.p)],
-            dtype=float,
-        )
+        """All phases as a read-only float array of radians.
+
+        Computed on the first call and kept on the instance, so every
+        later call returns the same array; entry (j, k) equals
+        :meth:`phase_radians` of (j, k).
+        """
+        cached = self.__dict__.get("_radians")
+        if cached is None:
+            cached = np.array([[float(x) for x in row] for row in self.phases])
+            if self.rep == EXACT:
+                cached *= TAU
+            cached.setflags(write=False)
+            object.__setattr__(self, "_radians", cached)
+        return cached
 
     def to_complex(self) -> np.ndarray:
-        """Dense complex matrix with entries exp(i*phi)."""
-        return np.exp(1j * self.radians())
+        """Dense complex matrix with entries exp(i*phi), read-only.
+
+        Computed on the first call and kept on the instance like
+        :meth:`radians`.
+        """
+        cached = self.__dict__.get("_complex")
+        if cached is None:
+            cached = np.exp(1j * self.radians())
+            cached.setflags(write=False)
+            object.__setattr__(self, "_complex", cached)
+        return cached
 
     def is_dephased(self, eps_phase: float = DEFAULT_EPS_PHASE) -> bool:
         """Whether row 0 and column 0 carry zero phase."""
@@ -180,13 +203,12 @@ def _zeta_sum_is_zero(multiplicities, order: int) -> bool:
 
 def _exact_rows_orthogonal(m: CHMatrix) -> bool:
     order = math.lcm(*(ph.denominator for row in m.phases for ph in row))
+    # entry (j, k) is zeta^expo[j][k] for the primitive order-th root zeta
+    expo = [[ph.numerator * (order // ph.denominator) for ph in row] for row in m.phases]
     for j in range(m.p):
         for l in range(j + 1, m.p):
-            expo = Counter()
-            for k in range(m.p):
-                t = normalize_turn(m.phases[j][k] - m.phases[l][k])
-                expo[int(t * order)] += 1
-            if not _zeta_sum_is_zero(expo.items(), order):
+            counts = Counter((a - b) % order for a, b in zip(expo[j], expo[l]))
+            if not _zeta_sum_is_zero(counts.items(), order):
                 return False
     return True
 
@@ -279,22 +301,32 @@ def classify_bh(
     denominators). Float matrices are scanned over d = 1..d_max; a
     ``NotButson`` verdict therefore means "not Butson up to d_max". The
     witness is the first entry (row-major) that is not within
-    ``eps_phase`` of any admissible root of unity.
+    ``eps_phase`` of any admissible root of unity; when every entry is
+    close to some root but no single d covers them all, it is the first
+    entry not covered at d_max.
+
+    The scan takes blocks of consecutive d values, at most
+    ``_SCAN_BLOCK`` (d, entry) pairs at a time, with the same elementwise
+    float operations as a scan one d at a time, so the verdict and the
+    witness do not depend on the block size.
     """
     if m.rep == EXACT:
         return Butson(math.lcm(*(ph.denominator for row in m.phases for ph in row)))
-    turns = m.radians() / TAU
+    turns = (m.radians() / TAU).ravel()
     entry_ok = np.zeros(turns.shape, dtype=bool)
-    for d in range(1, d_max + 1):
-        scaled = turns * d
-        err = np.abs(scaled - np.round(scaled)) * (TAU / d)
+    step = max(1, _SCAN_BLOCK // turns.size)
+    for first in range(1, d_max + 1, step):
+        ds = np.arange(first, min(first + step, d_max + 1), dtype=float)[:, None]
+        scaled = turns * ds
+        err = np.abs(scaled - np.round(scaled)) * (TAU / ds)
         close = err <= eps_phase
-        if close.all():
-            return Butson(d)
-        entry_ok |= close
-    bad = ~entry_ok if not entry_ok.all() else err > eps_phase
-    j, k = np.argwhere(bad)[0]
-    return NotButson((int(j), int(k)))
+        covered = close.all(axis=1)
+        if covered.any():
+            return Butson(first + int(np.argmax(covered)))
+        entry_ok |= close.any(axis=0)
+    bad = ~entry_ok if not entry_ok.all() else err[-1] > eps_phase
+    j, k = divmod(int(np.flatnonzero(bad)[0]), m.p)
+    return NotButson((j, k))
 
 
 def min_target_dimension(
@@ -401,7 +433,7 @@ def matrix_from_json(obj) -> CHMatrix:
         phases = obj["phases"]
     except (KeyError, TypeError) as exc:
         raise MalformedMatrix(f"matrix JSON missing field: {exc}") from exc
-    if not isinstance(p, int) or p < 1:
+    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise MalformedMatrix("p must be a positive integer")
     if not isinstance(phases, list) or len(phases) != p or any(
         not isinstance(row, list) or len(row) != p for row in phases
@@ -437,4 +469,8 @@ def save_matrix(m: CHMatrix, path) -> None:
 
 def load_matrix(path) -> CHMatrix:
     with open(path, encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise MalformedMatrix(f"matrix file is not JSON: {exc}") from exc
+    return matrix_from_json(obj)

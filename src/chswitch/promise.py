@@ -30,6 +30,7 @@ from .errors import (
     DomainError,
     IncompatibleDimension,
     KindMismatch,
+    MalformedInstance,
     NotButsonError,
     NotDephased,
     PromiseViolation,
@@ -139,7 +140,7 @@ class PromiseInstance:
 
 
 def _column_radians(m: CHMatrix, k: int) -> list[float]:
-    return [m.phase_radians(j, k) for j in range(m.p)]
+    return m.radians()[:, k].tolist()
 
 
 def build_cv_gates(
@@ -356,10 +357,17 @@ def instance_to_json(inst: PromiseInstance) -> dict:
 def instance_from_json(obj) -> PromiseInstance:
     if not isinstance(obj, dict):
         raise DomainError("instance JSON must be an object")
-    matrix = matrix_from_json(obj["matrix"])
-    perm_set = PermutationSet(tuple(tuple(pm) for pm in obj["perms"]))
-    gates = gateset_from_json(obj["gates"])
+    try:
+        matrix = matrix_from_json(obj["matrix"])
+        perm_set = PermutationSet(tuple(tuple(pm) for pm in obj["perms"]))
+        gates = gateset_from_json(obj["gates"])
+    except KeyError as exc:
+        raise MalformedInstance(f"instance JSON missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise MalformedInstance(f"instance JSON is malformed: {exc}") from exc
     claimed = obj.get("claimed_column")
+    if claimed is not None and (isinstance(claimed, bool) or not isinstance(claimed, int)):
+        raise MalformedInstance("claimed_column must be an integer or null")
     return PromiseInstance(matrix, perm_set, gates, claimed)
 
 
@@ -371,4 +379,8 @@ def save_instance(inst: PromiseInstance, path) -> None:
 
 def load_instance(path) -> PromiseInstance:
     with open(path, encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise MalformedInstance(f"instance file is not JSON: {exc}") from exc
+    return instance_from_json(obj)

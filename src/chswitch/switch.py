@@ -10,10 +10,13 @@ the control, starting from |0> (x) |psi|. When the gates satisfy the
 promise for column k, the control ends in |k> exactly, so the full
 outcome distribution is computed and reported rather than a sample.
 
-Finite-dimensional targets are simulated with dense joint amplitudes.
-Continuous-variable targets are never expanded: each control branch
-carries a displacement word, the promise guarantees all branches share a
-displacement, and the branch phases alone determine the outcome.
+Finite-dimensional targets are simulated with dense joint amplitudes;
+the switch applies each ordering's gates one at a time to that branch's
+target vector, O(N*D^2) per branch, and never forms the ordered product
+as a matrix. Continuous-variable targets are never expanded: each
+control branch carries a displacement word, the promise guarantees all
+branches share a displacement, and the branch phases alone determine the
+outcome.
 """
 
 from __future__ import annotations
@@ -111,7 +114,6 @@ def apply_switch(state: JointState, gates: Sequence[Gate], perm_set: Permutation
     kind = gate_kind(gates)
     if len(gates) != perm_set.n:
         raise SizeMismatch(f"{len(gates)} gates for orderings over {perm_set.n} slots")
-    pis = [product_in_order(gates, pm) for pm in perm_set.perms]
     if isinstance(state, QuditJointState):
         if kind != "qudit":
             raise KindMismatch("dense joint state needs qudit gates")
@@ -119,11 +121,17 @@ def apply_switch(state: JointState, gates: Sequence[Gate], perm_set: Permutation
             raise SizeMismatch(
                 f"gate dimension {gates[0].dim} != target dimension {state.amps.shape[1]}"
             )
-        rows = [pis[j].matrix @ state.amps[j] for j in range(state.p)]
+        rows = []
+        for pm, vec in zip(perm_set.perms, state.amps):
+            for idx in pm:
+                vec = gates[idx].matrix @ vec
+            rows.append(vec)
         return QuditJointState(np.array(rows))
     if kind != "weyl":
         raise KindMismatch("symbolic joint state needs displacement gates")
-    ops = tuple(weyl_compose(pis[j], state.ops[j]) for j in range(state.p))
+    ops = tuple(
+        weyl_compose(product_in_order(gates, pm), op) for pm, op in zip(perm_set.perms, state.ops)
+    )
     return CVJointState(state.amps, ops)
 
 

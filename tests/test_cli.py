@@ -264,3 +264,60 @@ def test_scs_budget_argument(capsys, argv, code):
         assert json.loads(err)["code"] == "budget_exceeded"
     else:
         assert out.startswith("N,p,combos")
+
+
+# Inputs written by test_cli_error_contract; "{dir}" in an argv is tmp_path.
+ERROR_INPUTS = {
+    "no_matrix.json": {"perms": [[0, 1]], "gates": {"kind": "weyl", "gates": []}},
+    "bad_perm.json": {
+        "matrix": {"p": 1, "rep": "exact", "phases": [[{"num": 0, "den": 1}]]},
+        "perms": [["a"]],
+        "gates": {"kind": "weyl", "gates": [{"theta": 0.0, "beta": 0.0, "gamma": 0.0}]},
+    },
+    "bad_gate.json": {
+        "matrix": {"p": 1, "rep": "exact", "phases": [[{"num": 0, "den": 1}]]},
+        "perms": [[0]],
+        "gates": {"kind": "weyl", "gates": [{"theta": 0.0}]},
+    },
+    "nan_phase.json": {"p": 2, "rep": "float", "phases": [[0.0, float("nan")], [0.0, 0.0]]},
+    "inf_phase.json": {"p": 1, "rep": "float", "phases": [[float("inf")]]},
+    "p_true.json": {"p": True, "rep": "exact", "phases": [[{"num": 0, "den": 1}]]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, expect",
+    [
+        (["matrix", "gen", "--family", "f4", "--a-turn", "1/0"], 2, "--a-turn"),
+        (["matrix", "gen", "--family", "f4", "--a-turn", "0.25"], 2, "--a-turn"),
+        (["promise", "build", "--target", "minimal", "--column", "0", "--a-turn", "x/2"], 2, "--a-turn"),
+        (["scs", "solve", "--perms", "01,0a"], 2, "--perms"),
+        (["switch", "sweep", "--family", "f4", "--a", "x", "--target", "cv"], 2, "--a"),
+        (["switch", "sweep", "--family", "f4", "--a", "0.3,,1.1", "--target", "cv"], 2, "--a"),
+        (["scs", "sweep", "--n", "3", "--p-min", "5", "--p-max", "2"], 2, "--p-min"),
+        (["promise", "verify", "--instance", "{dir}/no_matrix.json"], 1, "malformed_instance"),
+        (["promise", "verify", "--instance", "{dir}/bad_perm.json"], 1, "malformed_instance"),
+        (["switch", "run", "--instance", "{dir}/bad_gate.json"], 1, "malformed_instance"),
+        (["promise", "verify", "--instance", "{dir}/missing.json"], 1, "io_error"),
+        (["matrix", "validate", "{dir}/missing.json"], 1, "io_error"),
+        (["matrix", "classify", "{dir}"], 1, "io_error"),
+        (["matrix", "validate", "{dir}/nan_phase.json"], 1, "malformed_matrix"),
+        (["matrix", "validate", "{dir}/inf_phase.json"], 1, "malformed_matrix"),
+        (["matrix", "validate", "{dir}/p_true.json"], 1, "malformed_matrix"),
+        (["matrix", "gen", "--family", "f4", "--a-turn", "0/1"], 0, None),
+        (["scs", "solve", "--perms", "012, 102,120"], 0, None),
+        (["scs", "sweep", "--n", "3", "--p-min", "2", "--p-max", "2"], 0, None),
+    ],
+)
+def test_cli_error_contract(tmp_path, capsys, argv, code, expect):
+    for name, obj in ERROR_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    got, out, err = run_cli(capsys, *[a.replace("{dir}", str(tmp_path)) for a in argv])
+    assert got == code
+    assert "Traceback" not in err
+    if code == 2:
+        assert expect in err and out == ""
+    elif code == 1:
+        assert json.loads(err)["code"] == expect and out == ""
+    else:
+        assert err == "" and out

@@ -1,0 +1,108 @@
+"""Byte-identical CLI outputs on the protocol path.
+
+Each case runs one ``chswitch`` command in-process and compares its exit
+code and stdout with the files under ``tests/golden/``. The matrices and
+instances the cases read are built first by the setup commands below.
+A change that alters one of these outputs on purpose regenerates them
+with ``PYTHONPATH=src python tests/test_golden_cli.py`` and says so.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from chswitch.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+IRRATIONAL_A = repr((2 * math.pi / math.sqrt(2)) % math.pi)
+
+# Commands that write the inputs of the cases; "{dir}" is a scratch directory.
+SETUP = [
+    ["matrix", "gen", "--family", "f4", "--a", IRRATIONAL_A, "--out", "{dir}/f4_float.json"],
+    ["matrix", "gen", "--family", "fourier", "--d", "5", "--out", "{dir}/fourier5.json"],
+    ["matrix", "gen", "--family", "fourier", "--d", "6", "--out", "{dir}/fourier6.json"],
+    ["matrix", "gen", "--family", "sylvester", "--k", "2", "--out", "{dir}/sylvester2.json"],
+    ["matrix", "gen", "--family", "f4", "--a", "0.6", "--out", "{dir}/f4_06.json"],
+    ["promise", "build", "--matrix", "{dir}/fourier5.json", "--column", "3",
+     "--target", "qudit", "--out", "{dir}/qudit_fourier5.json"],
+    ["promise", "build", "--matrix", "{dir}/sylvester2.json", "--column", "3",
+     "--target", "qudit", "--dim", "4", "--out", "{dir}/qudit_sylvester2.json"],
+    ["promise", "build", "--matrix", "{dir}/fourier6.json", "--column", "4",
+     "--target", "cv", "--out", "{dir}/cv_fourier6.json"],
+    ["promise", "build", "--matrix", "{dir}/f4_06.json", "--column", "1",
+     "--target", "cv", "--alpha", "0.5", "--out", "{dir}/cv_f4.json"],
+]
+
+CASES = {
+    "sweep_fourier_qudit": ["switch", "sweep", "--family", "fourier", "--target", "qudit", "--dmax", "24"],
+    "sweep_fourier_cv": ["switch", "sweep", "--family", "fourier", "--target", "cv", "--dmax", "40"],
+    "sweep_f4_cv": ["switch", "sweep", "--family", "f4", "--target", "cv", "--a", "0.3,1.1,2.9"],
+    "sweep_sylvester_qudit": ["switch", "sweep", "--family", "sylvester", "--target", "qudit", "--k", "5"],
+    "sweep_sylvester_cv": ["switch", "sweep", "--family", "sylvester", "--target", "cv", "--k", "4"],
+    "validate_f4_float": ["matrix", "validate", "{dir}/f4_float.json"],
+    "classify_f4_float": ["matrix", "classify", "{dir}/f4_float.json"],
+    "classify_f4_float_dmax": ["matrix", "classify", "{dir}/f4_float.json", "--d-max", "1000"],
+    "verify_qudit_fourier5": ["promise", "verify", "--instance", "{dir}/qudit_fourier5.json"],
+    "verify_qudit_sylvester2": ["promise", "verify", "--instance", "{dir}/qudit_sylvester2.json"],
+    "verify_cv_fourier6": ["promise", "verify", "--instance", "{dir}/cv_fourier6.json"],
+    "verify_cv_f4": ["promise", "verify", "--instance", "{dir}/cv_f4.json"],
+    "run_qudit_fourier5": ["switch", "run", "--instance", "{dir}/qudit_fourier5.json"],
+    "run_qudit_sylvester2_psi": ["switch", "run", "--instance", "{dir}/qudit_sylvester2.json",
+                                 "--random-psi", "42"],
+    "run_cv_fourier6": ["switch", "run", "--instance", "{dir}/cv_fourier6.json"],
+    "run_cv_f4": ["switch", "run", "--instance", "{dir}/cv_f4.json", "--sample", "7"],
+}
+
+
+def _run(argv, directory) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([a.replace("{dir}", str(directory)) for a in argv])
+    return code, buf.getvalue()
+
+
+def _setup(directory) -> None:
+    for argv in SETUP:
+        code, _ = _run(argv, directory)
+        if code != 0:
+            raise RuntimeError(f"setup command failed with exit {code}: {argv}")
+
+
+@pytest.fixture(scope="module")
+def inputs_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden_inputs")
+    _setup(directory)
+    return directory
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_byte_identical(inputs_dir, name):
+    want_exit = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))[name]
+    want_out = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    code, out = _run(CASES[name], inputs_dir)
+    assert code == want_exit
+    assert out == want_out
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    exits = {}
+    with tempfile.TemporaryDirectory() as directory:
+        _setup(directory)
+        for name, argv in sorted(CASES.items()):
+            exits[name], out = _run(argv, directory)
+            (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(exits, indent=2, sort_keys=True) + "\n",
+                                            encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -221,3 +221,14 @@ def test_matrix_rejects_nonsquare():
 def test_fourier_rejects_zero_order():
     with pytest.raises(DomainError):
         fourier(0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_from_radians_rejects_non_finite_phases(bad):
+    with pytest.raises(MalformedMatrix):
+        CHMatrix.from_radians([[0.0, bad], [0.0, 0.0]])
+
+
+def test_json_rejects_boolean_order():
+    with pytest.raises(MalformedMatrix):
+        matrix_from_json({"p": True, "rep": "exact", "phases": [[{"num": 0, "den": 1}]]})
