@@ -207,8 +207,14 @@ def _exact_rows_orthogonal(m: CHMatrix) -> bool:
     expo = [[ph.numerator * (order // ph.denominator) for ph in row] for row in m.phases]
     for j in range(m.p):
         for l in range(j + 1, m.p):
-            counts = Counter((a - b) % order for a, b in zip(expo[j], expo[l]))
-            if not _zeta_sum_is_zero(counts.items(), order):
+            # A common factor zeta^shift does not decide whether the row
+            # product vanishes, and exponents that all share a factor step
+            # with the order are roots of unity of the smaller order/step.
+            shift = expo[j][0] - expo[l][0]
+            diff = [(a - b - shift) % order for a, b in zip(expo[j], expo[l])]
+            step = math.gcd(order, *diff)
+            counts = Counter(e // step for e in diff)
+            if not _zeta_sum_is_zero(counts.items(), order // step):
                 return False
     return True
 
@@ -447,7 +453,7 @@ def matrix_from_json(obj) -> CHMatrix:
                 if not isinstance(entry, dict) or set(entry) != {"num", "den"}:
                     raise MalformedMatrix("exact entries must be {num, den} objects")
                 num, den = entry["num"], entry["den"]
-                if not isinstance(num, int) or not isinstance(den, int) or den < 1:
+                if any(isinstance(x, bool) or not isinstance(x, int) for x in (num, den)) or den < 1:
                     raise MalformedMatrix("exact entries need integer num and positive den")
                 out.append(Fraction(num, den))
             turns.append(out)

@@ -3,8 +3,9 @@
 Each kernel is checked against the straightforward formula it replaces,
 kept here as the reference: the folded displacement product against a
 ``weyl_compose`` fold, the blocked Butson scan against a scan one d at a
-time, the integer orthogonality test against Fraction arithmetic, and the
-vector-wise qudit switch against dense ordered products.
+time, the integer orthogonality test against Fraction arithmetic over
+the whole matrix's cyclotomic order, and the vector-wise qudit switch
+against dense ordered products.
 """
 
 import math
@@ -110,7 +111,7 @@ def turn_grids(draw, max_p=6, max_den=12):
 
 
 @st.composite
-def exact_hadamards(draw):
+def exact_hadamards(draw, dens=(1, 2, 3, 4, 6, 8)):
     """Exact complex Hadamard matrices, twirled by random exact phases."""
     family = draw(st.sampled_from(["fourier", "sylvester", "f4"]))
     if family == "fourier":
@@ -120,8 +121,7 @@ def exact_hadamards(draw):
     else:
         den = draw(st.integers(1, 12))
         m = f4_family(Fraction(draw(st.integers(0, den - 1)), 2 * den))
-    # small twirl denominators keep the cyclotomic order, and the division cost, low
-    turns = st.builds(Fraction, st.integers(0, 7), st.sampled_from([1, 2, 3, 4, 6, 8]))
+    turns = st.builds(Fraction, st.integers(0, 12), st.sampled_from(dens))
     rows = draw(st.lists(turns, min_size=m.p, max_size=m.p))
     cols = draw(st.lists(turns, min_size=m.p, max_size=m.p))
     return phase_twirl(m, rows, cols)
@@ -188,8 +188,25 @@ def test_integer_orthogonality_matches_fractions_on_random_grids(turns):
 @FEW
 @given(exact_hadamards())
 def test_integer_orthogonality_matches_fractions_on_hadamards(m):
+    # small twirl denominators keep the reference's cyclotomic order low
     assert _exact_rows_orthogonal(m) is True
     assert rows_orthogonal_on_fractions(m) is True
+
+
+@FEW
+@given(exact_hadamards(dens=(5, 7, 8, 9, 11, 13)))
+def test_twirls_of_any_order_stay_orthogonal(m):
+    # the matrix's lcm order reaches 10^5 and more; each row pair is decided
+    # in the much smaller cyclotomic field its own phase differences need
+    assert _exact_rows_orthogonal(m) is True
+
+
+def test_perturbed_twirl_is_not_orthogonal():
+    rows = [Fraction(1, 8), Fraction(1, 5), Fraction(1, 7), Fraction(1, 11)] + [0] * 5
+    turns = [list(r) for r in phase_twirl(fourier(9), rows, [Fraction(1, 13)] * 9).phases]
+    assert _exact_rows_orthogonal(CHMatrix.from_turns(turns)) is True
+    turns[2][3] += Fraction(1, 9)
+    assert _exact_rows_orthogonal(CHMatrix.from_turns(turns)) is False
 
 
 @FEW

@@ -229,6 +229,14 @@ def test_from_radians_rejects_non_finite_phases(bad):
         CHMatrix.from_radians([[0.0, bad], [0.0, 0.0]])
 
 
-def test_json_rejects_boolean_order():
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"p": True, "rep": "exact", "phases": [[{"num": 0, "den": 1}]]},
+        {"p": 1, "rep": "exact", "phases": [[{"num": True, "den": 2}]]},
+        {"p": 1, "rep": "exact", "phases": [[{"num": 0, "den": True}]]},
+    ],
+)
+def test_json_rejects_booleans_as_integers(obj):
     with pytest.raises(MalformedMatrix):
-        matrix_from_json({"p": True, "rep": "exact", "phases": [[{"num": 0, "den": 1}]]})
+        matrix_from_json(obj)
