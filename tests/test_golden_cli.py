@@ -23,6 +23,9 @@ from chswitch.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 IRRATIONAL_A = repr((2 * math.pi / math.sqrt(2)) % math.pi)
+# f4 parameters: 3e-7 rad off a 7th root of unity, and an order-24 Butson point
+NEAR_ORDER7_A = repr(2 * math.pi / 7 + 3e-7)
+ORDER24_A = repr(math.pi / 12)
 
 # Commands that write the inputs of the cases; "{dir}" is a scratch directory.
 SETUP = [
@@ -31,6 +34,8 @@ SETUP = [
     ["matrix", "gen", "--family", "fourier", "--d", "6", "--out", "{dir}/fourier6.json"],
     ["matrix", "gen", "--family", "sylvester", "--k", "2", "--out", "{dir}/sylvester2.json"],
     ["matrix", "gen", "--family", "f4", "--a", "0.6", "--out", "{dir}/f4_06.json"],
+    ["matrix", "gen", "--family", "f4", "--a", NEAR_ORDER7_A, "--out", "{dir}/f4_near7.json"],
+    ["matrix", "gen", "--family", "f4", "--a", ORDER24_A, "--out", "{dir}/f4_24.json"],
     ["promise", "build", "--matrix", "{dir}/fourier5.json", "--column", "3",
      "--target", "qudit", "--out", "{dir}/qudit_fourier5.json"],
     ["promise", "build", "--matrix", "{dir}/sylvester2.json", "--column", "3",
@@ -59,6 +64,24 @@ CASES = {
                                  "--random-psi", "42"],
     "run_cv_fourier6": ["switch", "run", "--instance", "{dir}/cv_fourier6.json"],
     "run_cv_f4": ["switch", "run", "--instance", "{dir}/cv_f4.json", "--sample", "7"],
+    # each kept tolerance flag is read, and each default is where it was
+    "validate_f4_float_eps": ["matrix", "validate", "{dir}/f4_float.json", "--eps-unitary", "1e-12"],
+    "validate_f4_float_eps_tiny": ["matrix", "validate", "{dir}/f4_float.json", "--eps-unitary", "1e-20"],
+    "mindim_f4_near7": ["matrix", "mindim", "{dir}/f4_near7.json"],
+    "mindim_f4_near7_loose": ["matrix", "mindim", "{dir}/f4_near7.json",
+                              "--d-max", "1000", "--eps-phase", "1e-6"],
+    "build_qudit_f4_24": ["promise", "build", "--matrix", "{dir}/f4_24.json", "--column", "1",
+                          "--target", "qudit"],
+    "build_qudit_f4_24_dmax": ["promise", "build", "--matrix", "{dir}/f4_24.json", "--column", "1",
+                               "--target", "qudit", "--d-max", "8"],
+    "verify_qudit_fourier5_eps": ["promise", "verify", "--instance", "{dir}/qudit_fourier5.json",
+                                  "--eps-phase", "1e-6"],
+    "verify_qudit_fourier5_eps_tiny": ["promise", "verify", "--instance", "{dir}/qudit_fourier5.json",
+                                       "--eps-phase", "1e-300"],
+    "run_qudit_fourier5_eps": ["switch", "run", "--instance", "{dir}/qudit_fourier5.json",
+                               "--eps-det", "1e-3"],
+    "sweep_fourier_qudit_default": ["switch", "sweep", "--family", "fourier", "--target", "qudit"],
+    "sweep_sylvester_cv_default": ["switch", "sweep", "--family", "sylvester", "--target", "cv"],
 }
 
 
