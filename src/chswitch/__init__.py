@@ -70,7 +70,6 @@ from .scs import (
     census,
     census_csv,
     census_sweep,
-    greedy_supersequence,
     is_supersequence,
     scs_brute_oracle,
     scs_exact,

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import matrices, promise, scs, switch
 from .errors import ChswitchError, DomainError
+from .gates import QuditGate
 from .matrices import Butson, CHMatrix
 
 DEFAULT_SEED = 0
@@ -29,22 +30,30 @@ DEFAULT_SEED = 0
 IO_ERROR = "io_error"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Tolerances, budgets and reproducibility knobs shared by subcommands."""
+def _tolerance(text: str) -> float:
+    """A tolerance flag: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
-    eps_phase: float = matrices.DEFAULT_EPS_PHASE
-    eps_unitary: float = matrices.DEFAULT_EPS_UNITARY
-    eps_det: float = switch.DEFAULT_EPS_DET
-    d_max: int = matrices.DEFAULT_D_MAX
-    budget: int | None = scs.DEFAULT_COMBO_BUDGET
-    seed: int = DEFAULT_SEED
-    pretty: bool = False
 
-    def __post_init__(self):
-        for name in ("eps_phase", "eps_unitary", "eps_det"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+def _int_at_least(low: int):
+    """An integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _budget(text: str) -> int | None:
@@ -97,25 +106,8 @@ class _UsageError(Exception):
     """A combination of arguments that no parser ``type=`` can reject alone."""
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        eps_phase=getattr(args, "eps_phase", matrices.DEFAULT_EPS_PHASE),
-        eps_unitary=getattr(args, "eps_unitary", matrices.DEFAULT_EPS_UNITARY),
-        eps_det=getattr(args, "eps_det", switch.DEFAULT_EPS_DET),
-        d_max=getattr(args, "d_max", matrices.DEFAULT_D_MAX),
-        budget=getattr(args, "budget", scs.DEFAULT_COMBO_BUDGET),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        pretty=getattr(args, "pretty", False),
-    )
-
-
-def _emit(obj, cfg: RunConfig, path=None) -> None:
-    text = json.dumps(obj, indent=2 if cfg.pretty else None, sort_keys=True)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit(obj, args) -> None:
+    print(json.dumps(obj, indent=2 if args.pretty else None, sort_keys=True))
 
 
 def _round_floats(obj, digits=12):
@@ -129,63 +121,53 @@ def _round_floats(obj, digits=12):
 
 
 def _parse_a(args) -> float | Fraction:
-    if getattr(args, "a_turn", None) is not None:
+    if args.a_turn is not None:
         return args.a_turn
-    if getattr(args, "a", None) is None:
+    if args.a is None:
         raise DomainError("this family needs --a (radians) or --a-turn (num/den of a turn)")
-    return float(args.a)
+    return args.a
 
 
 def _build_matrix(args) -> CHMatrix:
-    family = args.family
-    if family == "fourier":
+    if args.family == "f4":
+        return matrices.f4_family(_parse_a(args))
+    if args.family == "fourier":
         if args.d is None:
             raise DomainError("fourier needs --d")
         return matrices.fourier(args.d)
-    if family == "f4":
-        return matrices.f4_family(_parse_a(args))
-    if family == "sylvester":
-        if args.k is None:
-            raise DomainError("sylvester needs --k")
-        return matrices.sylvester_hadamard(args.k)
-    raise DomainError(f"unknown family {family!r}")
+    if args.k is None:
+        raise DomainError("sylvester needs --k")
+    return matrices.sylvester_hadamard(args.k)
 
 
 # --- matrix ---------------------------------------------------------------
 
 def cmd_matrix_gen(args) -> int:
-    cfg = _config(args)
     m = _build_matrix(args)
     if args.out:
         matrices.save_matrix(m, args.out)
-        _emit({"written": args.out, "p": m.p, "rep": m.rep}, cfg)
+        _emit({"written": args.out, "p": m.p, "rep": m.rep}, args)
     else:
-        _emit(matrices.matrix_to_json(m), cfg)
+        _emit(matrices.matrix_to_json(m), args)
     return 0
 
 
 def cmd_matrix_validate(args) -> int:
-    cfg = _config(args)
-    report = matrices.validate_ch(matrices.load_matrix(args.matrix), cfg.eps_unitary)
-    _emit(
-        {"ok": report.ok, "max_row_pair_deviation": round(report.max_row_pair_deviation, 15)},
-        cfg,
-    )
+    report = matrices.validate_ch(matrices.load_matrix(args.matrix), args.eps_unitary)
+    _emit({"ok": report.ok, "max_row_pair_deviation": round(report.max_row_pair_deviation, 15)}, args)
     return 0
 
 
 def cmd_matrix_classify(args) -> int:
-    cfg = _config(args)
-    cls = matrices.classify_bh(matrices.load_matrix(args.matrix), cfg.d_max, cfg.eps_phase)
+    cls = matrices.classify_bh(matrices.load_matrix(args.matrix), args.d_max, args.eps_phase)
     if isinstance(cls, Butson):
-        _emit({"butson": cls.complexity}, cfg)
+        _emit({"butson": cls.complexity}, args)
     else:
-        _emit({"butson": None, "witness": list(cls.witness), "d_max": cfg.d_max}, cfg)
+        _emit({"butson": None, "witness": list(cls.witness), "d_max": args.d_max}, args)
     return 0
 
 
 def cmd_matrix_dephase(args) -> int:
-    cfg = _config(args)
     result = matrices.dephase(matrices.load_matrix(args.matrix))
     if args.out:
         matrices.save_matrix(result.matrix, args.out)
@@ -197,7 +179,7 @@ def cmd_matrix_dephase(args) -> int:
     if args.out:
         payload["written"] = args.out
         del payload["matrix"]
-    _emit(_round_floats(payload), cfg)
+    _emit(_round_floats(payload), args)
     return 0
 
 
@@ -208,16 +190,14 @@ def _factor_json(x):
 
 
 def cmd_matrix_mindim(args) -> int:
-    cfg = _config(args)
-    d = matrices.min_target_dimension(matrices.load_matrix(args.matrix), cfg.d_max, cfg.eps_phase)
-    _emit({"min_dimension": d, "cv_required": d is None}, cfg)
+    d = matrices.min_target_dimension(matrices.load_matrix(args.matrix), args.d_max, args.eps_phase)
+    _emit({"min_dimension": d, "cv_required": d is None}, args)
     return 0
 
 
 # --- promise ---------------------------------------------------------------
 
 def cmd_promise_build(args) -> int:
-    cfg = _config(args)
     if args.target == "minimal":
         a = _parse_a(args)
         gates, perm_set = promise.build_minimal_ch4(a, args.column, alpha1=args.alpha)
@@ -229,33 +209,29 @@ def cmd_promise_build(args) -> int:
         perm_set = promise.shift_permutations(matrix.p, matrix.p)
         if args.target == "qudit":
             gates = promise.build_qudit_gates(
-                matrix, args.column, dim=args.dim, d_max=cfg.d_max, eps_phase=cfg.eps_phase
+                matrix, args.column, dim=args.dim, d_max=args.d_max, eps_phase=args.eps_phase
             )
-        elif args.target == "cv":
-            gates = promise.build_cv_gates(matrix, args.column, alpha=args.alpha)
         else:
-            raise DomainError(f"unknown target {args.target!r}")
+            gates = promise.build_cv_gates(matrix, args.column, alpha=args.alpha)
     inst = promise.PromiseInstance(matrix, perm_set, gates, args.column)
     if args.out:
         promise.save_instance(inst, args.out)
-        _emit({"written": args.out, "column": args.column, "gates": len(gates)}, cfg)
+        _emit({"written": args.out, "column": args.column, "gates": len(gates)}, args)
     else:
-        _emit(_round_floats(promise.instance_to_json(inst)), cfg)
+        _emit(_round_floats(promise.instance_to_json(inst)), args)
     return 0
 
 
 def cmd_promise_verify(args) -> int:
-    cfg = _config(args)
     inst = promise.load_instance(args.instance)
-    column = promise.verify_promise(inst, cfg.eps_phase)
-    _emit({"column": column, "claimed_column": inst.claimed_column}, cfg)
+    column = promise.verify_promise(inst, args.eps_phase)
+    _emit({"column": column, "claimed_column": inst.claimed_column}, args)
     return 0
 
 
 # --- switch ----------------------------------------------------------------
 
 def cmd_switch_run(args) -> int:
-    cfg = _config(args)
     inst = promise.load_instance(args.instance)
     psi = None
     if args.psi:
@@ -266,15 +242,13 @@ def cmd_switch_run(args) -> int:
             except (ValueError, TypeError, IndexError) as exc:
                 raise DomainError(f"psi must be a JSON list of numbers or [re, im] pairs: {exc}") from exc
     elif args.random_psi is not None:
-        from .gates import QuditGate
-
         if not isinstance(inst.gates[0], QuditGate):
             raise DomainError("--random-psi applies to qudit instances only")
         rng = np.random.default_rng(args.random_psi)
         dim = inst.gates[0].dim
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi = vec / np.linalg.norm(vec)
-    outcome = switch.run_protocol(inst.matrix, inst.perm_set, inst.gates, psi, cfg.eps_det)
+    outcome = switch.run_protocol(inst.matrix, inst.perm_set, inst.gates, psi, args.eps_det)
     payload = {
         "distribution": [round(x, 12) for x in outcome.distribution],
         "argmax": outcome.argmax,
@@ -282,98 +256,92 @@ def cmd_switch_run(args) -> int:
     }
     if args.sample is not None:
         payload["sample"] = switch.sample_outcome(outcome, args.sample)
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0
 
 
 def cmd_switch_sweep(args) -> int:
-    cfg = _config(args)
-    reports = []
     if args.family == "fourier":
-        dmax = args.dmax or 6
-        for d in range(2, dmax + 1):
-            m = matrices.fourier(d)
-            rep = switch.sweep_columns(m, args.target, dim=args.dim, eps_det=cfg.eps_det)
-            reports.append({"family": "fourier", "d": d, "worst_deviation": rep.worst_deviation})
+        cases = (("d", d, matrices.fourier(d)) for d in range(2, args.dmax + 1))
     elif args.family == "f4":
         if not args.a:
             raise DomainError("f4 sweep needs --a with comma-separated radian values")
-        for a in args.a:
-            m = matrices.f4_family(a)
-            rep = switch.sweep_columns(m, args.target, dim=args.dim, eps_det=cfg.eps_det)
-            reports.append({"family": "f4", "a": a, "worst_deviation": rep.worst_deviation})
-    elif args.family == "sylvester":
-        k = args.k if args.k is not None else 2
-        m = matrices.sylvester_hadamard(k)
-        rep = switch.sweep_columns(m, args.target, dim=args.dim, eps_det=cfg.eps_det)
-        reports.append({"family": "sylvester", "k": k, "worst_deviation": rep.worst_deviation})
+        cases = (("a", a, matrices.f4_family(a)) for a in args.a)
     else:
-        raise DomainError(f"unknown family {args.family!r}")
-    _emit(_round_floats({"target": args.target, "sweeps": reports, "all_deterministic": True}), cfg)
+        cases = (("k", args.k, matrices.sylvester_hadamard(args.k)),)
+    reports = []
+    for key, value, m in cases:
+        rep = switch.sweep_columns(m, args.target, dim=args.dim, eps_det=args.eps_det)
+        reports.append({"family": args.family, key: value, "worst_deviation": rep.worst_deviation})
+    _emit(_round_floats({"target": args.target, "sweeps": reports, "all_deterministic": True}), args)
     return 0
 
 
 # --- scs ---------------------------------------------------------------------
 
 def cmd_scs_solve(args) -> int:
-    cfg = _config(args)
     result = scs.scs_exact(args.perms, n_max=args.n_max)
     payload = {"length": result.length, "qpg": round(result.length / len(args.perms[0]), 12)}
     if args.witness:
         payload["witness"] = "".join(str(c) for c in result.witness)
         payload["witness_order"] = "application"
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0
 
 
-def cmd_scs_census(args) -> int:
-    cfg = _config(args)
-    row = scs.census(args.n, args.p, sample=args.sample, seed=cfg.seed, budget=cfg.budget)
-    text = scs.census_csv([row])
+def _write_csv(text: str, args, summary: dict) -> None:
+    """CSV to ``--out`` (then ``summary`` as JSON on stdout), or to stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _emit({"written": args.out, "combos": row.combos}, cfg)
+        _emit(summary, args)
     else:
         sys.stdout.write(text)
+
+
+def cmd_scs_census(args) -> int:
+    row = scs.census(args.n, args.p, sample=args.sample, seed=args.seed, budget=args.budget)
+    _write_csv(scs.census_csv([row]), args, {"written": args.out, "combos": row.combos})
     return 0
 
 
 def cmd_scs_sweep(args) -> int:
-    cfg = _config(args)
     if args.p_min > args.p_max:
         raise _UsageError(f"--p-min {args.p_min} exceeds --p-max {args.p_max}")
     rows = scs.census_sweep(
         args.n,
         range(args.p_min, args.p_max + 1),
         sample_count=args.sample or scs.DEFAULT_SAMPLE_COUNT,
-        seed=cfg.seed,
-        budget=cfg.budget,
+        seed=args.seed,
+        budget=args.budget,
     )
-    text = scs.census_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _emit({"written": args.out, "rows": len(rows)}, cfg)
-    else:
-        sys.stdout.write(text)
+    _write_csv(scs.census_csv(rows), args, {"written": args.out, "rows": len(rows)})
     return 0
 
 
 # --- parser ------------------------------------------------------------------
 
-def _add_common(sub, *, tolerances=True, seed=False, budget=False):
-    if tolerances:
-        sub.add_argument("--eps-phase", type=float, default=matrices.DEFAULT_EPS_PHASE)
-        sub.add_argument("--eps-unitary", type=float, default=matrices.DEFAULT_EPS_UNITARY)
-        sub.add_argument("--eps-det", type=float, default=switch.DEFAULT_EPS_DET)
-        sub.add_argument("--d-max", type=int, default=matrices.DEFAULT_D_MAX)
-    if seed:
-        sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    if budget:
-        sub.add_argument("--budget", type=_budget, default=scs.DEFAULT_COMBO_BUDGET,
-                         help="max exhaustive combinations, or 'unlimited'")
-    sub.add_argument("--pretty", action="store_true", help="indent JSON output")
+# Shared options and the tolerances, each declared, defaulted and validated
+# once; a subcommand registers by name only the ones it reads.
+_OPTIONS = {
+    "--eps-phase": dict(type=_tolerance, default=matrices.DEFAULT_EPS_PHASE,
+                        help="phase tolerance in radians (Butson scan, promise checks)"),
+    "--eps-unitary": dict(type=_tolerance, default=matrices.DEFAULT_EPS_UNITARY,
+                          help="tolerance on the row-pair orthogonality of M M^dagger = p*I"),
+    "--eps-det": dict(type=_tolerance, default=switch.DEFAULT_EPS_DET,
+                      help="an outcome is deterministic when its probability is >= 1 - eps-det"),
+    "--d-max": dict(type=_int_at_least(1), default=matrices.DEFAULT_D_MAX,
+                    help="largest root-of-unity order scanned for float matrices"),
+    "--seed": dict(type=int, default=DEFAULT_SEED),
+    "--budget": dict(type=_budget, default=scs.DEFAULT_COMBO_BUDGET,
+                     help="max exhaustive combinations, or 'unlimited'"),
+    "--pretty": dict(action="store_true", help="indent JSON output"),
+}
+
+
+def _add_options(sub, *names) -> None:
+    for name in (*names, "--pretty"):
+        sub.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,19 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
                      help="f4 parameter as an exact fraction of a turn, e.g. 1/4")
     gen.add_argument("--k", type=int, help="sylvester doubling exponent")
     gen.add_argument("--out")
-    _add_common(gen)
+    _add_options(gen)
     gen.set_defaults(func=cmd_matrix_gen)
-    for name, fn, with_out in [
-        ("validate", cmd_matrix_validate, False),
-        ("classify", cmd_matrix_classify, False),
-        ("dephase", cmd_matrix_dephase, True),
-        ("mindim", cmd_matrix_mindim, False),
+    for name, fn, with_out, options in [
+        ("validate", cmd_matrix_validate, False, ["--eps-unitary"]),
+        ("classify", cmd_matrix_classify, False, ["--d-max", "--eps-phase"]),
+        ("dephase", cmd_matrix_dephase, True, []),
+        ("mindim", cmd_matrix_mindim, False, ["--d-max", "--eps-phase"]),
     ]:
         sub = mat.add_parser(name)
         sub.add_argument("matrix", help="matrix JSON path")
         if with_out:
             sub.add_argument("--out")
-        _add_common(sub)
+        _add_options(sub, *options)
         sub.set_defaults(func=fn)
 
     pr = top.add_parser("promise", help="build / verify promise instances").add_subparsers(
@@ -422,11 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--a-turn", type=_turn,
                        help="f4 parameter as a fraction of a turn (minimal target)")
     build.add_argument("--out")
-    _add_common(build)
+    _add_options(build, "--d-max", "--eps-phase")
     build.set_defaults(func=cmd_promise_build)
     verify = pr.add_parser("verify")
     verify.add_argument("--instance", required=True)
-    _add_common(verify)
+    _add_options(verify, "--eps-phase")
     verify.set_defaults(func=cmd_promise_verify)
 
     sw = top.add_parser("switch", help="run the protocol / sweep columns").add_subparsers(
@@ -434,19 +402,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p = sw.add_parser("run")
     run_p.add_argument("--instance", required=True)
-    run_p.add_argument("--psi", help="JSON target state ([re, im] pairs), qudit only")
-    run_p.add_argument("--random-psi", type=int, help="seed for a random target state")
+    psi = run_p.add_mutually_exclusive_group()
+    psi.add_argument("--psi", help="JSON target state ([re, im] pairs), qudit only")
+    psi.add_argument("--random-psi", type=int, help="seed for a random target state")
     run_p.add_argument("--sample", type=int, help="also draw one measurement with this seed")
-    _add_common(run_p)
+    _add_options(run_p, "--eps-det")
     run_p.set_defaults(func=cmd_switch_run)
     sweep_p = sw.add_parser("sweep")
     sweep_p.add_argument("--family", required=True, choices=["fourier", "f4", "sylvester"])
-    sweep_p.add_argument("--dmax", type=int, help="fourier orders 2..dmax")
+    sweep_p.add_argument("--dmax", type=_int_at_least(2), default=6, help="fourier orders 2..dmax")
     sweep_p.add_argument("--a", type=_radian_list, help="comma-separated f4 parameters in radians")
-    sweep_p.add_argument("--k", type=int, help="sylvester exponent")
+    sweep_p.add_argument("--k", type=int, default=2, help="sylvester exponent")
     sweep_p.add_argument("--target", required=True, choices=["qudit", "cv"])
     sweep_p.add_argument("--dim", type=int)
-    _add_common(sweep_p)
+    _add_options(sweep_p, "--eps-det")
     sweep_p.set_defaults(func=cmd_switch_sweep)
 
     sc = top.add_parser("scs", help="supersequence solving and census").add_subparsers(
@@ -457,14 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help='comma-separated orderings, e.g. "012,102,120"')
     solve.add_argument("--witness", action="store_true")
     solve.add_argument("--n-max", type=int, default=scs.DEFAULT_N_MAX)
-    _add_common(solve, tolerances=False)
+    _add_options(solve)
     solve.set_defaults(func=cmd_scs_solve)
     cen = sc.add_parser("census")
     cen.add_argument("--n", type=int, required=True)
     cen.add_argument("--p", type=int, required=True)
     cen.add_argument("--sample", type=int, help="sampled mode with this many combinations")
     cen.add_argument("--out", help="CSV path (stdout when omitted)")
-    _add_common(cen, tolerances=False, seed=True, budget=True)
+    _add_options(cen, "--seed", "--budget")
     cen.set_defaults(func=cmd_scs_census)
     swp = sc.add_parser("sweep")
     swp.add_argument("--n", type=int, required=True)
@@ -472,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--p-max", type=int, required=True)
     swp.add_argument("--sample", type=int, help="sample count for over-budget rows")
     swp.add_argument("--out", help="CSV path (stdout when omitted)")
-    _add_common(swp, tolerances=False, seed=True, budget=True)
+    _add_options(swp, "--seed", "--budget")
     swp.set_defaults(func=cmd_scs_sweep)
 
     return parser

@@ -316,6 +316,10 @@ def classify_bh(
     float operations as a scan one d at a time, so the verdict and the
     witness do not depend on the block size.
     """
+    if d_max < 1:
+        raise DomainError(f"d_max must be at least 1, got {d_max}")
+    if not eps_phase > 0:  # also rejects NaN
+        raise DomainError(f"eps_phase must be positive, got {eps_phase}")
     if m.rep == EXACT:
         return Butson(math.lcm(*(ph.denominator for row in m.phases for ph in row)))
     turns = (m.radians() / TAU).ravel()

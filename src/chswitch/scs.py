@@ -273,26 +273,6 @@ def scs_brute_oracle(perms: Iterable[Sequence[int]], l_max: int) -> int | None:
     return None
 
 
-def greedy_supersequence(perms: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """Majority-merge baseline witness; valid but not generally minimal."""
-    seqs = _normalize_perms(perms)
-    n = len(seqs[0])
-    pos = [0] * len(seqs)
-    out: list[int] = []
-    while True:
-        votes = [0] * n
-        for i, s in enumerate(seqs):
-            if pos[i] < n:
-                votes[s[pos[i]]] += 1
-        if not any(votes):
-            return tuple(out)
-        c = max(range(n), key=lambda sym: votes[sym])
-        out.append(c)
-        for i, s in enumerate(seqs):
-            if pos[i] < n and s[pos[i]] == c:
-                pos[i] += 1
-
-
 # --- census ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -433,21 +413,3 @@ def census_csv(rows: Iterable[CensusRow]) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def census_row_json(r: CensusRow) -> dict:
-    return {
-        "n": r.n,
-        "p": r.p,
-        "combos": r.combos,
-        "mode": r.mode,
-        "min_len": r.min_len,
-        "max_len": r.max_len,
-        "sum_len": r.sum_len,
-        "avg_len": float(r.avg_len),
-        "avg_len_exact": [r.sum_len, r.combos],
-        "min_qpg": float(r.min_qpg),
-        "max_qpg": float(r.max_qpg),
-        "avg_qpg": float(r.avg_qpg),
-        "avg_se": r.avg_se,
-        "switch_qpg": 1,
-    }

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chswitch
 from chswitch.cli import main
 
 
@@ -282,6 +287,8 @@ ERROR_INPUTS = {
     "nan_phase.json": {"p": 2, "rep": "float", "phases": [[0.0, float("nan")], [0.0, 0.0]]},
     "inf_phase.json": {"p": 1, "rep": "float", "phases": [[float("inf")]]},
     "p_true.json": {"p": True, "rep": "exact", "phases": [[{"num": 0, "den": 1}]]},
+    "f4.json": {"p": 1, "rep": "float", "phases": [[0.0]]},
+    "psi.json": [[1.0, 0.0]],
 }
 
 
@@ -307,6 +314,27 @@ ERROR_INPUTS = {
         (["matrix", "gen", "--family", "f4", "--a-turn", "0/1"], 0, None),
         (["scs", "solve", "--perms", "012, 102,120"], 0, None),
         (["scs", "sweep", "--n", "3", "--p-min", "2", "--p-max", "2"], 0, None),
+        # tolerances, --d-max and --dmax are checked at parse time; a flag the
+        # subcommand does not read is a usage error
+        (["matrix", "validate", "{dir}/f4.json", "--eps-unitary", "-1"], 2, "--eps-unitary"),
+        (["matrix", "validate", "{dir}/f4.json", "--eps-unitary", "abc"], 2, "--eps-unitary"),
+        (["matrix", "classify", "{dir}/f4.json", "--eps-phase", "nan"], 2, "--eps-phase"),
+        (["matrix", "mindim", "{dir}/f4.json", "--eps-phase", "inf"], 2, "--eps-phase"),
+        (["promise", "verify", "--instance", "{dir}/bad_gate.json", "--eps-phase", "0"], 2, "--eps-phase"),
+        (["switch", "run", "--instance", "{dir}/bad_gate.json", "--eps-det", "0"], 2, "--eps-det"),
+        (["matrix", "classify", "{dir}/f4.json", "--d-max", "0"], 2, "--d-max"),
+        (["matrix", "mindim", "{dir}/f4.json", "--d-max", "1.5"], 2, "--d-max"),
+        (["promise", "build", "--matrix", "{dir}/f4.json", "--column", "0", "--target", "qudit",
+          "--d-max", "-2"], 2, "--d-max"),
+        (["switch", "sweep", "--family", "fourier", "--target", "qudit", "--dmax", "0"], 2, "--dmax"),
+        (["switch", "sweep", "--family", "fourier", "--target", "qudit", "--dmax", "1"], 2, "--dmax"),
+        (["matrix", "gen", "--family", "fourier", "--d", "3", "--eps-det", "1e-9"], 2, "--eps-det"),
+        (["switch", "sweep", "--family", "fourier", "--target", "qudit", "--d-max", "10"], 2, "--d-max"),
+        (["matrix", "dephase", "{dir}/f4.json", "--eps-phase", "1e-9"], 2, "--eps-phase"),
+        (["switch", "run", "--instance", "{dir}/bad_gate.json", "--psi", "{dir}/psi.json",
+          "--random-psi", "3"], 2, "--random-psi"),
+        (["matrix", "classify", "{dir}/f4.json", "--d-max", "1", "--eps-phase", "1e-300"], 0, None),
+        (["switch", "sweep", "--family", "fourier", "--target", "qudit", "--dmax", "2"], 0, None),
     ],
 )
 def test_cli_error_contract(tmp_path, capsys, argv, code, expect):
@@ -321,3 +349,21 @@ def test_cli_error_contract(tmp_path, capsys, argv, code, expect):
         assert json.loads(err)["code"] == expect and out == ""
     else:
         assert err == "" and out
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    src = str(Path(chswitch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "chswitch.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    ok = run("scs", "solve", "--perms", "012,102,120")
+    assert ok.returncode == 0 and json.loads(ok.stdout)["length"] == 5 and ok.stderr == ""
+    domain = run("matrix", "validate", str(tmp_path / "missing.json"))
+    assert domain.returncode == 1 and domain.stdout == ""
+    assert json.loads(domain.stderr)["code"] == "io_error"
+    usage = run("matrix", "classify", str(tmp_path / "missing.json"), "--d-max", "0")
+    assert usage.returncode == 2 and usage.stdout == ""
+    assert "--d-max" in usage.stderr and "Traceback" not in usage.stderr

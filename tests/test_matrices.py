@@ -24,6 +24,7 @@ from chswitch.matrices import (
     validate_ch,
 )
 from chswitch.phaseutil import TAU, circular_distance
+from chswitch.promise import build_qudit_gates
 
 A_IRRATIONAL = (2 * math.pi / math.sqrt(2)) % math.pi
 
@@ -138,6 +139,27 @@ def test_classify_irrational_not_butson():
 
 def test_classify_exact_ignores_dmax():
     assert classify_bh(fourier(7), d_max=2) == Butson(7)
+
+
+@pytest.mark.parametrize(
+    "m, d_max, eps_phase",
+    [
+        (f4_family(0.7), 0, 1e-9),
+        (f4_family(0.7), -3, 1e-9),
+        (fourier(4), 0, 1e-9),
+        (f4_family(0.7), 4096, 0.0),
+        (f4_family(0.7), 4096, -1e-9),
+        (f4_family(0.7), 4096, float("nan")),
+        (CHMatrix.from_radians(fourier(4).radians()), 4096, float("nan")),
+    ],
+)
+def test_classify_rejects_bad_bounds(m, d_max, eps_phase):
+    with pytest.raises(DomainError):
+        classify_bh(m, d_max, eps_phase)
+    with pytest.raises(DomainError):
+        min_target_dimension(m, d_max, eps_phase)
+    with pytest.raises(DomainError):
+        build_qudit_gates(m, 0, d_max=d_max, eps_phase=eps_phase)
 
 
 def test_fourier4_equals_f4_at_zero():
