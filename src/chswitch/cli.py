@@ -311,7 +311,7 @@ def cmd_scs_sweep(args) -> int:
     rows = scs.census_sweep(
         args.n,
         range(args.p_min, args.p_max + 1),
-        sample_count=args.sample or scs.DEFAULT_SAMPLE_COUNT,
+        sample_count=args.sample,
         seed=args.seed,
         budget=args.budget,
     )
@@ -431,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     cen = sc.add_parser("census")
     cen.add_argument("--n", type=int, required=True)
     cen.add_argument("--p", type=int, required=True)
-    cen.add_argument("--sample", type=int, help="sampled mode with this many combinations")
+    cen.add_argument("--sample", type=_int_at_least(1),
+                     help="sampled mode with this many combinations")
     cen.add_argument("--out", help="CSV path (stdout when omitted)")
     _add_options(cen, "--seed", "--budget")
     cen.set_defaults(func=cmd_scs_census)
@@ -439,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--n", type=int, required=True)
     swp.add_argument("--p-min", type=int, required=True)
     swp.add_argument("--p-max", type=int, required=True)
-    swp.add_argument("--sample", type=int, help="sample count for over-budget rows")
+    swp.add_argument("--sample", type=_int_at_least(1), default=scs.DEFAULT_SAMPLE_COUNT,
+                     help="sample count for over-budget rows")
     swp.add_argument("--out", help="CSV path (stdout when omitted)")
     _add_options(swp, "--seed", "--budget")
     swp.set_defaults(func=cmd_scs_sweep)

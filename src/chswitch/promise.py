@@ -356,7 +356,7 @@ def instance_to_json(inst: PromiseInstance) -> dict:
 
 def instance_from_json(obj) -> PromiseInstance:
     if not isinstance(obj, dict):
-        raise DomainError("instance JSON must be an object")
+        raise MalformedInstance("instance JSON must be an object")
     try:
         matrix = matrix_from_json(obj["matrix"])
         perm_set = PermutationSet(tuple(tuple(pm) for pm in obj["perms"]))

@@ -21,6 +21,17 @@ SCS among the remaining suffixes, which is admissible and consistent.
 Certified optimality plus an independent brute-force oracle (iterative
 deepening, used in tests) back every census number.
 
+SCS length is also invariant under relabeling the symbols, so
+:func:`scs_exact` solves one representative per class of sets under
+relabeling and reversal: the lexicographically least set obtained by
+relabeling one member to the identity, with or without reversing every
+string first. A bounded memo (``_MAX_MEMO`` entries, cleared when full)
+keeps each representative's witness as bytes; the caller's witness is
+that witness relabeled back and, if needed, reversed. The memo only ever
+holds results of solving the representative, so no result depends on
+what it holds. Census rows, whose combinations contain the identity,
+fall into about 1/(2p) as many classes as combinations.
+
 The census enumerates gate-ordering combinations that contain the
 identity ordering, solves each one exactly, and aggregates with integer
 sums so averages are exact rationals and results are independent of
@@ -224,6 +235,36 @@ def _solve(seqs: tuple[tuple[int, ...], ...]) -> ScsResult:
     raise AssertionError("search space exhausted without reaching the empty state")
 
 
+# The memo is cleared once it holds this many classes: about 2-3 MB for
+# sets of up to 10 orderings over N <= 5. The 1259 classes of the N = 4,
+# p = 2..5 census sweep fit several times over.
+_MAX_MEMO = 1 << 14
+
+# canonical set -> its witness, both as bytes; the set begins with the
+# identity, which fixes N
+_memo: dict[bytes, bytes] = {}
+
+
+def _canonical(seqs: tuple[tuple[int, ...], ...]) -> tuple[bytes, bytes, bool]:
+    """The class representative of a set, with the way back to its labels.
+
+    Returns the flattened representative, the member x that was relabeled
+    to the identity (symbol c of the representative is x[c]) and whether
+    every string was reversed first. Of the 2p candidates the first least
+    one wins, so the choice depends only on the set.
+    """
+    ident = bytes(range(len(seqs[0])))
+    given = [bytes(s) for s in seqs]
+    best = None
+    for strings, flip in ((given, False), ([s[::-1] for s in given], True)):
+        for x in strings:
+            to_ident = bytes.maketrans(x, ident)
+            key = b"".join(sorted([s.translate(to_ident) for s in strings]))
+            if best is None or key < best[0]:
+                best = (key, x, flip)
+    return best
+
+
 def scs_exact(perms: Iterable[Sequence[int]], n_max: int = DEFAULT_N_MAX) -> ScsResult:
     """Certified-minimal common supersequence of a set of orderings.
 
@@ -236,7 +277,16 @@ def scs_exact(perms: Iterable[Sequence[int]], n_max: int = DEFAULT_N_MAX) -> Scs
         raise LimitExceeded(f"orderings over {n} symbols exceed n_max={n_max}", n=n, n_max=n_max)
     if len(seqs) == 1:
         return ScsResult(n, seqs[0])
-    return _solve(seqs)
+    key, x, flip = _canonical(seqs)
+    witness = _memo.get(key)
+    if witness is None:
+        rep = tuple(tuple(key[i:i + n]) for i in range(0, len(key), n))
+        witness = bytes(_solve(rep).witness)
+        if len(_memo) >= _MAX_MEMO:
+            _memo.clear()
+        _memo[key] = witness
+    witness = witness.translate(bytes.maketrans(bytes(range(n)), x))
+    return ScsResult(len(witness), tuple(witness[::-1] if flip else witness))
 
 
 def scs_brute_oracle(perms: Iterable[Sequence[int]], l_max: int) -> int | None:

@@ -289,6 +289,7 @@ ERROR_INPUTS = {
     "p_true.json": {"p": True, "rep": "exact", "phases": [[{"num": 0, "den": 1}]]},
     "f4.json": {"p": 1, "rep": "float", "phases": [[0.0]]},
     "psi.json": [[1.0, 0.0]],
+    "list_instance.json": [{"matrix": {"p": 1, "rep": "exact", "phases": [[{"num": 0, "den": 1}]]}}],
 }
 
 
@@ -335,6 +336,18 @@ ERROR_INPUTS = {
           "--random-psi", "3"], 2, "--random-psi"),
         (["matrix", "classify", "{dir}/f4.json", "--d-max", "1", "--eps-phase", "1e-300"], 0, None),
         (["switch", "sweep", "--family", "fourier", "--target", "qudit", "--dmax", "2"], 0, None),
+        # --sample is a count >= 1 on both census commands; an instance file
+        # must hold a JSON object
+        (["scs", "census", "--n", "3", "--p", "4", "--sample", "0"], 2, "--sample"),
+        (["scs", "census", "--n", "3", "--p", "4", "--sample", "abc"], 2, "--sample"),
+        (["scs", "sweep", "--n", "3", "--p-min", "2", "--p-max", "3", "--sample", "0",
+          "--budget", "0"], 2, "--sample"),
+        (["scs", "sweep", "--n", "3", "--p-min", "2", "--p-max", "3", "--sample", "-5"], 2, "--sample"),
+        (["scs", "census", "--n", "3", "--p", "4", "--sample", "1"], 0, None),
+        (["scs", "sweep", "--n", "3", "--p-min", "2", "--p-max", "3", "--sample", "1",
+          "--budget", "0"], 0, None),
+        (["promise", "verify", "--instance", "{dir}/list_instance.json"], 1, "malformed_instance"),
+        (["switch", "run", "--instance", "{dir}/list_instance.json"], 1, "malformed_instance"),
     ],
 )
 def test_cli_error_contract(tmp_path, capsys, argv, code, expect):

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -241,18 +242,80 @@ def test_length_invariant_under_relabeling_and_reversal(perms, data):
     assert scs_exact([pm[::-1] for pm in perms]).length == length
 
 
+def _transform(sigma, flip, s):
+    """s with every symbol c relabeled sigma[c], then reversed if flip."""
+    out = tuple(sigma[c] for c in s)
+    return out[::-1] if flip else out
+
+
+def _symmetries(perms):
+    """Every (relabeling, reversal) that maps the set onto itself."""
+    target = set(perms)
+    return [
+        (sigma, flip)
+        for sigma in itertools.permutations(range(len(perms[0])))
+        for flip in (False, True)
+        if {_transform(sigma, flip, pm) for pm in perms} == target
+    ]
+
+
+@PROPERTY
+@given(identity_sets(), st.data())
+def test_witness_is_equivariant_under_relabeling_and_reversal(perms, data):
+    # Relabeling or reversing the set relabels or reverses the witness. A set
+    # that some relabeling or reversal g maps onto itself may get the image
+    # of its witness under such a g instead: exact equality is impossible
+    # there, since for {01, 10} and the swap it would need w == swap(w).
+    # Without such a g, `images` is just the witness, so equality is exact.
+    n = len(perms[0])
+    sigma = tuple(data.draw(st.permutations(range(n))))
+    witness = scs_exact(perms).witness
+    images = [_transform(g, g_flip, witness) for g, g_flip in _symmetries(perms)]
+    relabeled = scs_exact([_transform(sigma, False, pm) for pm in perms]).witness
+    assert relabeled in {_transform(sigma, False, w) for w in images}
+    assert scs_exact([pm[::-1] for pm in perms]).witness in {w[::-1] for w in images}
+
+
 def test_result_does_not_depend_on_cache_state(monkeypatch):
     target = [(0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0), (1, 0, 3, 2), (0, 3, 2, 1)]
     monkeypatch.setattr(scs, "_tables", {})
+    monkeypatch.setattr(scs, "_memo", {})
     cold = scs_exact(target)
-    # Fresh tables again, filled by other sets first, so the suffixes of the
-    # target get other IDs than in the cold solve.
+    # Fresh tables and memo again, filled by other sets first, so the suffixes
+    # of the target get other IDs than in the cold solve, and then by a
+    # relabeled reversal of the target, so that its class is a memo hit.
     monkeypatch.setattr(scs, "_tables", {})
+    monkeypatch.setattr(scs, "_memo", {})
     rng = random.Random(41)
     perms4 = list(itertools.permutations(range(4)))
     for _ in range(30):
         scs_exact(rng.sample(perms4, rng.randint(2, 8)))
+    scs_exact([_transform((2, 0, 3, 1), True, pm) for pm in target])
+    size = len(scs._memo)
     assert scs_exact(target) == cold
+    assert len(scs._memo) == size
+
+
+def test_memo_stays_within_its_cap(monkeypatch):
+    cap = 8
+    monkeypatch.setattr(scs, "_MAX_MEMO", cap)
+    monkeypatch.setattr(scs, "_memo", {})
+    rng = random.Random(43)
+    perms4 = list(itertools.permutations(range(4)))
+    sets = [rng.sample(perms4, rng.randint(2, 8)) for _ in range(40)]
+    results = []
+    for perms in sets:
+        results.append(scs_exact(perms))
+        assert len(scs._memo) <= cap
+    classes = {scs._canonical(scs._normalize_perms(perms))[0] for perms in sets}
+    assert len(classes) > 3 * cap
+    monkeypatch.setattr(scs, "_memo", {})
+    assert [scs_exact(perms) for perms in sets] == results
+
+
+def test_census_n4_matches_pinned_csv():
+    pinned = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "census_n4_p2-5.csv"
+    assert census_csv(census_sweep(4, range(2, 6))) == pinned.read_text(encoding="utf-8")
 
 
 def test_raised_n_max_solves_long_orderings():
