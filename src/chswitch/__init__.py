@@ -35,7 +35,6 @@ from .gates import (
     product_in_order,
     weyl_compose,
     weyl_identity,
-    weyl_inverse,
     weyl_x,
     weyl_z,
 )

@@ -65,11 +65,6 @@ def weyl_compose(a: WeylOp, b: WeylOp) -> WeylOp:
     return WeylOp(phase, a.beta + b.beta, a.gamma + b.gamma)
 
 
-def weyl_inverse(a: WeylOp) -> WeylOp:
-    """Inverse word; the phase form is antisymmetric so no extra phase appears."""
-    return WeylOp(-a.theta, -a.beta, -a.gamma)
-
-
 @dataclass(frozen=True, eq=False)
 class QuditGate:
     """Dense unitary on a D-dimensional target."""
@@ -83,11 +78,6 @@ class QuditGate:
             raise DimensionMismatch(f"expected a {self.dim}x{self.dim} matrix, got {m.shape}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-
-def unitarity_defect(g: QuditGate) -> float:
-    """Max-entry deviation of U^dagger U from the identity."""
-    return float(np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(g.dim))))
 
 
 def qudit_identity(dim: int) -> QuditGate:

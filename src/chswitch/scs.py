@@ -25,8 +25,10 @@ SCS length is also invariant under relabeling the symbols, so
 :func:`scs_exact` solves one representative per class of sets under
 relabeling and reversal: the lexicographically least set obtained by
 relabeling one member to the identity, with or without reversing every
-string first. A bounded memo (``_MAX_MEMO`` entries, cleared when full)
-keeps each representative's witness as bytes; the caller's witness is
+string first. Orderings are lexicographic ranks in a second lazy per-N
+table, which holds their reversals and relabelings, so validation and
+class keys are lookups. A bounded memo (``_MAX_MEMO`` classes, cleared
+when full) keeps each representative's witness; the caller's witness is
 that witness relabeled back and, if needed, reversed. The memo only ever
 holds results of solving the representative, so no result depends on
 what it holds. Census rows, whose combinations contain the identity,
@@ -43,6 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -112,7 +115,7 @@ class _SuffixTable:
         self.tail = [0]
         self.starts = [0] * n
         self.sup = [0]
-        self.scs = [bytearray(1)]
+        self.scs = [array("H", [0])]
         self.ge = [[]]
 
     def pair(self, i: int, j: int) -> int:
@@ -129,7 +132,7 @@ class _SuffixTable:
         i, ti = len(self.length), self.ids[s[1:]]
         n, bit, head = len(s), 1 << i, s[0]
         length, tail, sup, ge = self.length, self.tail, self.sup, self.ge
-        row = bytearray(i + 1)
+        row = array("H", [0]) * (i + 1)
         row[0] = row[i] = n
         my_ge = [-1] * (n + 1) + [0] * (2 * self.n - n + 1)
         my_sup = 0
@@ -178,37 +181,27 @@ def _solve(seqs: tuple[tuple[int, ...], ...]) -> ScsResult:
     """
     n = len(seqs[0])
     table = _table(n)
-    start = 0
-    for s in seqs:  # distinct orderings of equal length: already an antichain
-        start |= 1 << table.intern(s)
+    ids = [table.intern(s) for s in seqs]
+    start = sum(1 << i for i in ids)  # distinct orderings of equal length: an antichain
     tail, sup, starts, ge = table.tail, table.sup, table.starts, table.ge
 
-    def lower_bound(state: int) -> int:
-        """Largest SCS length of two members, a member paired with itself included."""
-        best, rest = 0, state
-        while rest:
-            low = rest & -rest
-            row = ge[low.bit_length() - 1]
-            while row[best + 1] & state:
-                best += 1
-            rest ^= low
-        return best
-
-    best_g = {start: 0}
-    parent: dict[int, tuple[int, int]] = {}
+    seen = {start: (0, start, -1)}  # state -> (g, parent, symbol)
     pushed = 0
-    heap = [(lower_bound(start), 0, pushed, start)]
+    heap = [(max(table.pair(i, j) for i in ids for j in ids), 0, pushed, start)]
     while heap:
-        _, g, _, state = heappop(heap)
-        if g > best_g[state]:
+        f, g, _, state = heappop(heap)
+        if g > seen[state][0]:
             continue
         if not state:
             symbols = []
             while state != start:
-                state, c = parent[state]
+                _, state, c = seen[state]
                 symbols.append(c)
             return ScsResult(g, tuple(reversed(symbols)))
         ng = g + 1
+        # The bound, the largest SCS length of two members (one member twice
+        # included), is consistent: no successor's is below this one's less 1.
+        low_h = f - g - 1
         for c in range(n):
             moved = state & starts[c]
             if not moved:
@@ -227,12 +220,108 @@ def _solve(seqs: tuple[tuple[int, ...], ...]) -> ScsResult:
             for t in tails:
                 if not sup[t] & full:
                     nxt |= 1 << t
-            if ng < best_g.get(nxt, ng + 1):
-                best_g[nxt] = ng
-                parent[nxt] = (state, c)
+            old = seen.get(nxt)
+            if old is None or ng < old[0]:
+                seen[nxt] = (ng, state, c)
+                h, rest = low_h, nxt
+                while rest:
+                    low = rest & -rest
+                    row = ge[low.bit_length() - 1]
+                    while row[h + 1] & nxt:
+                        h += 1
+                    rest ^= low
                 pushed += 1
-                heappush(heap, (ng + lower_bound(nxt), ng, pushed, nxt))
+                heappush(heap, (ng + h, ng, pushed, nxt))
     raise AssertionError("search space exhausted without reaching the empty state")
+
+
+# An ordering table is dropped between solves once it holds more orderings
+# and relabel entries than this; all of those over 5 symbols fit.
+_MAX_ORDER_ENTRIES = 1 << 15
+
+
+class _OrderTable(dict):
+    """Ordering of n symbols -> lexicographic rank (rank order is tuple order).
+
+    Grown on demand, with ``perm``, ``rev`` and ``rows``, which map a rank
+    to its ordering, to its reversal's rank and to its relabel row.
+    ``size`` counts orderings and relabel entries.
+    """
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n, self.size, self.perm, self.rev, self.rows = n, 0, {}, {}, {}
+
+    def intern(self, s: tuple[int, ...]) -> int:
+        """The rank of a valid ordering s, entering it and its reversal if new."""
+        r = self.get(s)
+        if r is None:
+            r = self[s] = sum(
+                sum(d < c for d in s[i + 1:]) * math.factorial(self.n - 1 - i) for i, c in enumerate(s)
+            )
+            self.perm[r], self.rows[r], self.size = s, _RelabelRow(self, s), self.size + 1
+            self.rev[r] = self.intern(s[::-1])
+        return r
+
+
+class _RelabelRow(dict):
+    """Rank y -> rank of y relabeled by x⁻¹, which turns ordering x into the identity."""
+
+    def __init__(self, table: _OrderTable, x: tuple[int, ...]):
+        super().__init__()
+        self.table, self.inv = table, sorted(range(len(x)), key=x.__getitem__)
+
+    def __missing__(self, y: int) -> int:
+        self.table.size += 1
+        r = self[y] = self.table.intern(tuple([self.inv[c] for c in self.table.perm[y]]))
+        return r
+
+
+_orders: dict[int, _OrderTable] = {}
+
+
+def _order_table(n: int) -> _OrderTable:
+    table = _orders.get(n)
+    if table is None or table.size > _MAX_ORDER_ENTRIES:
+        table = _orders[n] = _OrderTable(n)
+    return table
+
+
+def _ranked(perms: Iterable[Sequence[int]], n_max: int) -> tuple[_OrderTable, list[int]]:
+    """The ordering table of a set and the sorted ranks of its distinct members.
+
+    Known orderings are validated by lookup; any other input goes through
+    :func:`_normalize_perms`, which raises the DomainErrors, first.
+    """
+    perms = tuple(perms)
+    try:
+        if len(perms[0]) <= n_max:
+            table = _order_table(len(perms[0]))
+            return table, sorted({table[pm] for pm in perms})
+    except (IndexError, KeyError, TypeError):
+        pass
+    seqs = _normalize_perms(perms)
+    n = len(seqs[0])
+    if n > n_max:
+        raise LimitExceeded(f"orderings over {n} symbols exceed n_max={n_max}", n=n, n_max=n_max)
+    table = _order_table(n)
+    return table, [table.intern(s) for s in seqs]
+
+
+def _class_key(table: _OrderTable, given: list[int]) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """The memo key of a set's class, from its sorted ranks, and the way back.
+
+    The key is N, which tells equal ranks over different N apart, then the
+    least of 2p candidates, the first least one winning: the sorted ranks of
+    the set or of its reversal, relabeled so that one member x becomes the
+    identity. Also returns x (symbol c of the representative is x[c]) and
+    whether it was reversed.
+    """
+    flipped = [table.rev[r] for r in given]
+    rows = table.rows
+    cands = [sorted(map(rows[x].__getitem__, members)) for members in (given, flipped) for x in members]
+    i = cands.index(min(cands))
+    return (table.n, *cands[i]), table.perm[(given + flipped)[i]], i >= len(given)
 
 
 # The memo is cleared once it holds this many classes: about 2-3 MB for
@@ -240,29 +329,8 @@ def _solve(seqs: tuple[tuple[int, ...], ...]) -> ScsResult:
 # p = 2..5 census sweep fit several times over.
 _MAX_MEMO = 1 << 14
 
-# canonical set -> its witness, both as bytes; the set begins with the
-# identity, which fixes N
-_memo: dict[bytes, bytes] = {}
-
-
-def _canonical(seqs: tuple[tuple[int, ...], ...]) -> tuple[bytes, bytes, bool]:
-    """The class representative of a set, with the way back to its labels.
-
-    Returns the flattened representative, the member x that was relabeled
-    to the identity (symbol c of the representative is x[c]) and whether
-    every string was reversed first. Of the 2p candidates the first least
-    one wins, so the choice depends only on the set.
-    """
-    ident = bytes(range(len(seqs[0])))
-    given = [bytes(s) for s in seqs]
-    best = None
-    for strings, flip in ((given, False), ([s[::-1] for s in given], True)):
-        for x in strings:
-            to_ident = bytes.maketrans(x, ident)
-            key = b"".join(sorted([s.translate(to_ident) for s in strings]))
-            if best is None or key < best[0]:
-                best = (key, x, flip)
-    return best
+# class key -> the witness of its representative
+_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 def scs_exact(perms: Iterable[Sequence[int]], n_max: int = DEFAULT_N_MAX) -> ScsResult:
@@ -271,22 +339,17 @@ def scs_exact(perms: Iterable[Sequence[int]], n_max: int = DEFAULT_N_MAX) -> Scs
     The witness is emitted in application order. Sets over more than
     ``n_max`` symbols are refused (search cost grows quickly).
     """
-    seqs = _normalize_perms(perms)
-    n = len(seqs[0])
-    if n > n_max:
-        raise LimitExceeded(f"orderings over {n} symbols exceed n_max={n_max}", n=n, n_max=n_max)
-    if len(seqs) == 1:
-        return ScsResult(n, seqs[0])
-    key, x, flip = _canonical(seqs)
+    table, given = _ranked(perms, n_max)
+    if len(given) == 1:
+        return ScsResult(table.n, table.perm[given[0]])
+    key, x, flip = _class_key(table, given)
     witness = _memo.get(key)
     if witness is None:
-        rep = tuple(tuple(key[i:i + n]) for i in range(0, len(key), n))
-        witness = bytes(_solve(rep).witness)
+        witness = _solve(tuple(table.perm[r] for r in key[1:])).witness
         if len(_memo) >= _MAX_MEMO:
             _memo.clear()
         _memo[key] = witness
-    witness = witness.translate(bytes.maketrans(bytes(range(n)), x))
-    return ScsResult(len(witness), tuple(witness[::-1] if flip else witness))
+    return ScsResult(len(witness), tuple(map(x.__getitem__, reversed(witness) if flip else witness)))
 
 
 def scs_brute_oracle(perms: Iterable[Sequence[int]], l_max: int) -> int | None:

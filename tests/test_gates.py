@@ -18,10 +18,7 @@ from chswitch.gates import (
     phase_ratio,
     product_in_order,
     qudit_identity,
-    unitarity_defect,
     weyl_compose,
-    weyl_identity,
-    weyl_inverse,
     weyl_x,
     weyl_z,
 )
@@ -69,12 +66,6 @@ def test_weyl_associativity():
         assert left.gamma == pytest.approx(right.gamma)
 
 
-def test_weyl_inverse_is_two_sided():
-    a = WeylOp(1.1, -0.4, 2.2)
-    assert weyl_compose(a, weyl_inverse(a)) == weyl_identity()
-    assert weyl_compose(weyl_inverse(a), a) == weyl_identity()
-
-
 def test_pauli_qubit_matches_sigma():
     assert np.allclose(pauli_x(2).matrix, [[0, 1], [1, 0]])
     assert np.allclose(pauli_z(2).matrix, [[1, 0], [0, -1]])
@@ -110,8 +101,9 @@ def test_pauli_order(dim):
 
 def test_pauli_unitary():
     for dim in range(2, 9):
-        assert unitarity_defect(pauli_x(dim)) < 1e-12
-        assert unitarity_defect(pauli_z_power(dim, 3)) < 1e-12
+        for gate in (pauli_x(dim), pauli_z_power(dim, 3)):
+            m = gate.matrix
+            assert np.max(np.abs(m.conj().T @ m - np.eye(dim))) < 1e-12
 
 
 def test_pauli_rejects_small_dim():

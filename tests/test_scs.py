@@ -276,16 +276,20 @@ def test_witness_is_equivariant_under_relabeling_and_reversal(perms, data):
     assert scs_exact([pm[::-1] for pm in perms]).witness in {w[::-1] for w in images}
 
 
+def _empty_caches(monkeypatch):
+    monkeypatch.setattr(scs, "_tables", {})
+    monkeypatch.setattr(scs, "_orders", {})
+    monkeypatch.setattr(scs, "_memo", {})
+
+
 def test_result_does_not_depend_on_cache_state(monkeypatch):
     target = [(0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0), (1, 0, 3, 2), (0, 3, 2, 1)]
-    monkeypatch.setattr(scs, "_tables", {})
-    monkeypatch.setattr(scs, "_memo", {})
+    _empty_caches(monkeypatch)
     cold = scs_exact(target)
     # Fresh tables and memo again, filled by other sets first, so the suffixes
     # of the target get other IDs than in the cold solve, and then by a
     # relabeled reversal of the target, so that its class is a memo hit.
-    monkeypatch.setattr(scs, "_tables", {})
-    monkeypatch.setattr(scs, "_memo", {})
+    _empty_caches(monkeypatch)
     rng = random.Random(41)
     perms4 = list(itertools.permutations(range(4)))
     for _ in range(30):
@@ -307,10 +311,76 @@ def test_memo_stays_within_its_cap(monkeypatch):
     for perms in sets:
         results.append(scs_exact(perms))
         assert len(scs._memo) <= cap
-    classes = {scs._canonical(scs._normalize_perms(perms))[0] for perms in sets}
+    classes = {scs._class_key(*scs._ranked(perms, scs.DEFAULT_N_MAX))[0] for perms in sets}
     assert len(classes) > 3 * cap
     monkeypatch.setattr(scs, "_memo", {})
     assert [scs_exact(perms) for perms in sets] == results
+
+
+def test_order_table_cap_does_not_change_results(monkeypatch):
+    rng = random.Random(47)
+    sets = [
+        rng.sample(list(itertools.permutations(range(n))), rng.randint(2, 6))
+        for n in (3, 4, 5, 4, 5)
+        for _ in range(12)
+    ]
+    _empty_caches(monkeypatch)
+    cold = [scs_exact(perms) for perms in sets]
+    _empty_caches(monkeypatch)
+    monkeypatch.setattr(scs, "_MAX_ORDER_ENTRIES", 40)
+    tables = []  # held, so that no two tables share an id
+    for perms, expected in zip(sets, cold):
+        assert scs_exact(perms) == expected
+        tables.append(scs._orders[len(perms[0])])
+    # A table past 40 entries is dropped at the next call, so the 60 sets
+    # went through many tables.
+    assert len({id(t) for t in tables}) > 10
+
+
+def test_class_key_carries_the_number_of_symbols(monkeypatch):
+    # {01, 10} and {0123, 0132} have the same ranks, (0, 1).
+    _empty_caches(monkeypatch)
+    assert scs_exact([(0, 1), (1, 0)]).length == 3
+    res = scs_exact([(0, 1, 2, 3), (0, 1, 3, 2)])
+    assert res.length == 5
+    assert is_supersequence(res.witness, (0, 1, 2, 3)) and is_supersequence(res.witness, (0, 1, 3, 2))
+
+
+def _bytes_canonical(seqs):
+    """The class representative as bytes, computed without the ordering table.
+
+    Returns the flattened least relabeled set, the member x that was
+    relabeled to the identity and whether every string was reversed first;
+    of the 2p candidates the first least one wins.
+    """
+    ident = bytes(range(len(seqs[0])))
+    given = [bytes(s) for s in seqs]
+    best = None
+    for strings, flip in ((given, False), ([s[::-1] for s in given], True)):
+        for x in strings:
+            to_ident = bytes.maketrans(x, ident)
+            key = b"".join(sorted([s.translate(to_ident) for s in strings]))
+            if best is None or key < best[0]:
+                best = (key, x, flip)
+    return best
+
+
+@st.composite
+def ordering_sets(draw, n_max=5, p_max=8):
+    """A set of orderings over n <= n_max symbols, the identity not required."""
+    n = draw(st.integers(2, n_max))
+    return draw(st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=p_max, unique=True))
+
+
+@PROPERTY
+@given(ordering_sets())
+def test_class_key_matches_bytes_representative(perms):
+    table, given_ranks = scs._ranked(perms, scs.DEFAULT_N_MAX)
+    key, x, flip = scs._class_key(table, given_ranks)
+    rep, old_x, old_flip = _bytes_canonical(scs._normalize_perms(perms))
+    assert key[0] == len(perms[0])
+    assert b"".join(bytes(table.perm[r]) for r in key[1:]) == rep
+    assert (bytes(x), flip) == (old_x, old_flip)
 
 
 def test_census_n4_matches_pinned_csv():
@@ -324,3 +394,13 @@ def test_raised_n_max_solves_long_orderings():
     assert res.length == 2 * 8 - 1
     assert len(res.witness) == res.length
     assert is_supersequence(res.witness, forward) and is_supersequence(res.witness, backward)
+
+
+def test_pairwise_lengths_past_one_byte():
+    # Two-string SCS lengths here reach 259, past what a byte holds.
+    forward, backward = range(130), reversed(range(130))
+    res = scs_exact([forward, backward], n_max=200)
+    assert res.length == 259
+    assert len(res.witness) == res.length
+    assert is_supersequence(res.witness, range(130))
+    assert is_supersequence(res.witness, range(129, -1, -1))
