@@ -2,7 +2,9 @@
 
 Each case runs one ``chswitch`` command in-process and compares its exit
 code and stdout with the files under ``tests/golden/``. The matrices and
-instances the cases read are built first by the setup commands below.
+instances the cases read are built first by the setup commands below,
+plus one exact matrix that no ``matrix gen`` family produces: a Fourier
+matrix with exact row and column phases, written by ``save_matrix``.
 A change that alters one of these outputs on purpose regenerates them
 with ``PYTHONPATH=src python tests/test_golden_cli.py`` and says so.
 """
@@ -14,11 +16,13 @@ import io
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from chswitch.cli import main
+from chswitch.matrices import fourier, phase_twirl, save_matrix
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -45,6 +49,10 @@ SETUP = [
     ["promise", "build", "--matrix", "{dir}/f4_06.json", "--column", "1",
      "--target", "cv", "--alpha", "0.5", "--out", "{dir}/cv_f4.json"],
 ]
+
+# row and column turns of the twirled Fourier-6 that ``matrix dephase`` reads
+TWIRL_ROWS = [Fraction(1, 3), Fraction(1, 4), Fraction(0), Fraction(5, 7), Fraction(1, 2), Fraction(2, 5)]
+TWIRL_COLS = [Fraction(1, 8), Fraction(0), Fraction(1, 6), Fraction(3, 4), Fraction(1, 9), Fraction(1, 5)]
 
 CASES = {
     "sweep_fourier_qudit": ["switch", "sweep", "--family", "fourier", "--target", "qudit", "--dmax", "24"],
@@ -82,6 +90,15 @@ CASES = {
                                "--eps-det", "1e-3"],
     "sweep_fourier_qudit_default": ["switch", "sweep", "--family", "fourier", "--target", "qudit"],
     "sweep_sylvester_cv_default": ["switch", "sweep", "--family", "sylvester", "--target", "cv"],
+    # the exact JSON edge: generated, classified, validated, built and dephased
+    "gen_fourier12": ["matrix", "gen", "--family", "fourier", "--d", "12"],
+    "gen_sylvester3": ["matrix", "gen", "--family", "sylvester", "--k", "3"],
+    "gen_f4_turn": ["matrix", "gen", "--family", "f4", "--a-turn", "1/8"],
+    "classify_fourier6": ["matrix", "classify", "{dir}/fourier6.json"],
+    "validate_fourier6": ["matrix", "validate", "{dir}/fourier6.json"],
+    "build_qudit_fourier5": ["promise", "build", "--matrix", "{dir}/fourier5.json", "--column", "3",
+                             "--target", "qudit"],
+    "dephase_twirled_fourier6": ["matrix", "dephase", "{dir}/twirled_fourier6.json"],
 }
 
 
@@ -97,6 +114,7 @@ def _setup(directory) -> None:
         code, _ = _run(argv, directory)
         if code != 0:
             raise RuntimeError(f"setup command failed with exit {code}: {argv}")
+    save_matrix(phase_twirl(fourier(6), TWIRL_ROWS, TWIRL_COLS), Path(directory) / "twirled_fourier6.json")
 
 
 @pytest.fixture(scope="module")
