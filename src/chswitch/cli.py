@@ -173,20 +173,14 @@ def cmd_matrix_dephase(args) -> int:
         matrices.save_matrix(result.matrix, args.out)
     payload = {
         "matrix": matrices.matrix_to_json(result.matrix),
-        "row_factors": [_factor_json(x) for x in result.row_factors],
-        "col_factors": [_factor_json(x) for x in result.col_factors],
+        "row_factors": [matrices.phase_to_json(x) for x in result.row_factors],
+        "col_factors": [matrices.phase_to_json(x) for x in result.col_factors],
     }
     if args.out:
         payload["written"] = args.out
         del payload["matrix"]
     _emit(_round_floats(payload), args)
     return 0
-
-
-def _factor_json(x):
-    if isinstance(x, Fraction):
-        return {"num": x.numerator, "den": x.denominator}
-    return float(x)
 
 
 def cmd_matrix_mindim(args) -> int:
@@ -262,6 +256,7 @@ def cmd_switch_run(args) -> int:
 
 def cmd_switch_sweep(args) -> int:
     if args.family == "fourier":
+        matrices.check_order(args.dmax)  # before sweeping the orders below it
         cases = (("d", d, matrices.fourier(d)) for d in range(2, args.dmax + 1))
     elif args.family == "f4":
         if not args.a:

@@ -3,24 +3,24 @@
 An order-p complex Hadamard matrix has unit-modulus entries
 ``M[j][k] = exp(i*phi[j][k])`` and satisfies ``M M^dagger = p*I``. Only
 the phases are stored here, so unimodularity holds by construction. Two
-homogeneous encodings are supported:
+encodings are supported:
 
-* ``"exact"``: each phase is a :class:`fractions.Fraction` in [0, 1)
-  counting turns (entry = ``exp(2*pi*i*turn)``). Validation and Butson
-  classification of these matrices are exact.
-* ``"float"``: each phase is a float in radians, reduced to [0, 2*pi).
+* exact: a root-of-unity order n and a reduced integer exponent grid,
+  entry (j, k) being ``exp(2*pi*i*grid[j][k]/n)``; n is the minimal order,
+  so the matrix is Butson of complexity n. Validation is exact too.
+* float: ``order`` is ``None`` and the grid holds radians in [0, 2*pi).
 
-A matrix is Butson of complexity d when every entry is a d-th root of
-unity; for the exact encoding the minimal d is simply the lcm of the turn
-denominators. Exact orthogonality checks reduce to deciding whether an
-integer combination of d-th roots of unity vanishes, which is done with
-cyclotomic polynomial division rather than floating point.
+Turns (:class:`fractions.Fraction`) appear only at the edge: in
+:meth:`CHMatrix.from_turns`, the ``phases`` view, the JSON format and the
+phases :func:`phase_twirl` takes. Exact orthogonality is decided by
+cyclotomic polynomial division on the exponents, not in floating point.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +29,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, MalformedMatrix, SizeMismatch
-from .phaseutil import TAU, circular_distance, normalize_radians, normalize_turn
+from .errors import DomainError, LimitExceeded, MalformedMatrix, SizeMismatch
+from .phaseutil import TAU, circular_distance, normalize_radians
 
 EXACT = "exact"
 FLOAT = "float"
@@ -38,6 +38,9 @@ FLOAT = "float"
 DEFAULT_EPS_PHASE = 1e-9
 DEFAULT_EPS_UNITARY = 1e-9
 DEFAULT_D_MAX = 4096
+# Largest matrix order p that the generators and the JSON reader accept
+# (printing Fourier-1024 takes about 4 s and 400 MB, Fourier-2048 21 s and 1.6 GB)
+MAX_P = 1024
 # (d, entry) pairs per block of the float Butson scan: a 128 KiB float array
 _SCAN_BLOCK = 2**14
 
@@ -48,73 +51,81 @@ PhaseEntry = Union[Fraction, float]
 class CHMatrix:
     """Square grid of unit-modulus entries, stored as phases.
 
-    ``rep`` selects the encoding: every phase of an ``"exact"`` matrix is a
-    ``Fraction`` in [0, 1) (fraction of a full turn), every phase of a
-    ``"float"`` matrix is a float radian in [0, 2*pi). Mixed grids are
-    rejected. Instances are immutable; build them through
-    :meth:`from_turns`, :meth:`from_radians` or the generators below.
+    An exact matrix has a positive int ``order`` n and a grid of int
+    exponents, entry (j, k) being ``exp(2*pi*i*grid[j][k]/n)``; the
+    constructor reduces the grid (exponents mod n, divided with n by their
+    common factor), so equal matrices compare and hash equal and ``order``
+    is the minimal root-of-unity order. A float matrix has ``order`` None
+    and a grid of float radians in [0, 2*pi). Instances are immutable;
+    build them through :meth:`from_turns`, :meth:`from_radians` or the
+    generators below. ``radians()`` is computed once, at construction.
     """
 
-    p: int
-    rep: str
-    phases: tuple[tuple[PhaseEntry, ...], ...]
+    order: int | None
+    grid: tuple[tuple, ...]
 
     def __post_init__(self):
-        if self.rep not in (EXACT, FLOAT):
-            raise MalformedMatrix(f"unknown rep {self.rep!r}")
-        if self.p < 1:
-            raise MalformedMatrix("matrix order must be >= 1")
-        if len(self.phases) != self.p or any(len(row) != self.p for row in self.phases):
-            raise MalformedMatrix("phase grid is not square of the declared order")
-        want = Fraction if self.rep == EXACT else float
-        for row in self.phases:
-            for entry in row:
-                if type(entry) is not want:
-                    raise MalformedMatrix(
-                        f"{self.rep} matrix requires {want.__name__} phases, got {type(entry).__name__}"
-                    )
+        grid, order = tuple(tuple(row) for row in self.grid), self.order
+        if not grid or any(len(row) != len(grid) for row in grid):
+            raise MalformedMatrix("phase grid must be square with at least one row")
+        if order is not None and (type(order) is not int or order < 1):
+            raise MalformedMatrix(f"root-of-unity order must be a positive int, got {order!r}")
+        want = float if order is None else int
+        wrong = {type(entry) for row in grid for entry in row} - {want}
+        if wrong:
+            raise MalformedMatrix(
+                f"{self.rep} matrix requires {want.__name__} phases, got {wrong.pop().__name__}"
+            )
+        if order is None:
+            rad = np.array(grid, dtype=float)
+        else:
+            step = math.gcd(order, *(e for row in grid for e in row))
+            grid = tuple(tuple((e % order) // step for e in row) for row in grid)
+            order //= step
+            # int true division rounds once, exactly as float(Fraction(e, order))
+            rad = np.array([[e / order for e in row] for row in grid]) * TAU
+        rad.setflags(write=False)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "_radians", rad)
 
     @classmethod
     def from_turns(cls, turns: Sequence[Sequence]) -> "CHMatrix":
-        grid = tuple(tuple(normalize_turn(Fraction(t)) for t in row) for row in turns)
-        return cls(len(grid), EXACT, grid)
+        fracs = [[Fraction(t) for t in row] for row in turns]
+        order = math.lcm(*(t.denominator for row in fracs for t in row))
+        # int(): a Fraction of numpy ints keeps a numpy numerator and denominator
+        grid = [[int(t.numerator) * (order // int(t.denominator)) for t in row] for row in fracs]
+        return cls(order, grid)
 
     @classmethod
     def from_radians(cls, radians: Sequence[Sequence]) -> "CHMatrix":
         values = [[float(x) for x in row] for row in radians]
         if not all(math.isfinite(x) for row in values for x in row):
             raise MalformedMatrix("phases must be finite numbers")
-        grid = tuple(tuple(normalize_radians(x) for x in row) for row in values)
-        return cls(len(grid), FLOAT, grid)
+        return cls(None, [[normalize_radians(x) for x in row] for row in values])
 
-    def phase_radians(self, j: int, k: int) -> float:
-        entry = self.phases[j][k]
-        if self.rep == EXACT:
-            return float(entry) * TAU
-        return entry
+    @property
+    def p(self) -> int:
+        return len(self.grid)
+
+    @property
+    def rep(self) -> str:
+        return FLOAT if self.order is None else EXACT
+
+    @property
+    def phases(self) -> tuple[tuple[PhaseEntry, ...], ...]:
+        """The grid as turns (``Fraction`` in [0, 1)) or as float radians."""
+        if self.order is None:
+            return self.grid
+        return tuple(tuple(Fraction(e, self.order) for e in row) for row in self.grid)
 
     def radians(self) -> np.ndarray:
-        """All phases as a read-only float array of radians.
-
-        Computed on the first call and kept on the instance, so every
-        later call returns the same array; entry (j, k) equals
-        :meth:`phase_radians` of (j, k).
-        """
-        cached = self.__dict__.get("_radians")
-        if cached is None:
-            cached = np.array([[float(x) for x in row] for row in self.phases])
-            if self.rep == EXACT:
-                cached *= TAU
-            cached.setflags(write=False)
-            object.__setattr__(self, "_radians", cached)
-        return cached
+        """All phases as a read-only float array of radians, built at construction."""
+        return self._radians
 
     def to_complex(self) -> np.ndarray:
-        """Dense complex matrix with entries exp(i*phi), read-only.
-
-        Computed on the first call and kept on the instance like
-        :meth:`radians`.
-        """
+        """Dense complex matrix with entries exp(i*phi), read-only; built
+        on the first call and kept on the instance."""
         cached = self.__dict__.get("_complex")
         if cached is None:
             cached = np.exp(1j * self.radians())
@@ -124,12 +135,9 @@ class CHMatrix:
 
     def is_dephased(self, eps_phase: float = DEFAULT_EPS_PHASE) -> bool:
         """Whether row 0 and column 0 carry zero phase."""
-        if self.rep == EXACT:
-            return all(self.phases[0][k] == 0 for k in range(self.p)) and all(
-                self.phases[j][0] == 0 for j in range(self.p)
-            )
-        edge = [self.phases[0][k] for k in range(self.p)]
-        edge += [self.phases[j][0] for j in range(self.p)]
+        edge = self.grid[0] + tuple(row[0] for row in self.grid)
+        if self.order is not None:
+            return not any(edge)
         return all(circular_distance(x, 0.0) <= eps_phase for x in edge)
 
 
@@ -202,9 +210,7 @@ def _zeta_sum_is_zero(multiplicities, order: int) -> bool:
 
 
 def _exact_rows_orthogonal(m: CHMatrix) -> bool:
-    order = math.lcm(*(ph.denominator for row in m.phases for ph in row))
-    # entry (j, k) is zeta^expo[j][k] for the primitive order-th root zeta
-    expo = [[ph.numerator * (order // ph.denominator) for ph in row] for row in m.phases]
+    order, expo = m.order, m.grid
     for j in range(m.p):
         for l in range(j + 1, m.p):
             # A common factor zeta^shift does not decide whether the row
@@ -236,7 +242,7 @@ def validate_ch(m: CHMatrix, eps_unitary: float = DEFAULT_EPS_UNITARY) -> Valida
     gram = u @ u.conj().T
     np.fill_diagonal(gram, 0.0)
     deviation = float(np.max(np.abs(gram)))
-    if m.rep == EXACT:
+    if m.order is not None:
         ok = _exact_rows_orthogonal(m)
     else:
         ok = deviation <= eps_unitary * m.p
@@ -258,22 +264,24 @@ class DephaseResult:
     col_factors: tuple[PhaseEntry, ...]
 
 
+def _phase_unit(m: CHMatrix):
+    """(cast, reduce, build) for the ``phases`` of ``m``: Fraction turns or radians."""
+    if m.order is None:
+        return float, normalize_radians, CHMatrix.from_radians
+    return Fraction, lambda t: t % 1, CHMatrix.from_turns
+
+
 def phase_twirl(m: CHMatrix, row_phases: Sequence, col_phases: Sequence) -> CHMatrix:
     """Multiply row j by exp(i*row_phases[j]) and column k by
     exp(i*col_phases[k]). Phases are turns for exact matrices, radians
     otherwise."""
     if len(row_phases) != m.p or len(col_phases) != m.p:
         raise SizeMismatch(f"need {m.p} row and column phases")
-    if m.rep == EXACT:
-        rows = [Fraction(r) for r in row_phases]
-        cols = [Fraction(c) for c in col_phases]
-        return CHMatrix.from_turns(
-            [[m.phases[j][k] + rows[j] + cols[k] for k in range(m.p)] for j in range(m.p)]
-        )
-    rows = [float(r) for r in row_phases]
-    cols = [float(c) for c in col_phases]
-    return CHMatrix.from_radians(
-        [[m.phases[j][k] + rows[j] + cols[k] for k in range(m.p)] for j in range(m.p)]
+    cast, _, build = _phase_unit(m)
+    rows = [cast(r) for r in row_phases]
+    cols = [cast(c) for c in col_phases]
+    return build(
+        [[ph + rows[j] + cols[k] for k, ph in enumerate(row)] for j, row in enumerate(m.phases)]
     )
 
 
@@ -284,15 +292,15 @@ def dephase(m: CHMatrix) -> DephaseResult:
     then column phases (subtract the resulting row-0 phase), which fixes a
     canonical output among the diagonally equivalent choices.
     """
-    zero = Fraction(0) if m.rep == EXACT else 0.0
-    row_factors = tuple(-m.phases[j][0] for j in range(m.p))
-    col_factors = tuple(-(m.phases[0][k] - m.phases[0][0]) for k in range(m.p))
-    out = phase_twirl(m, row_factors, col_factors)
-    norm = normalize_turn if m.rep == EXACT else normalize_radians
+    _, norm, _ = _phase_unit(m)
+    phases = m.phases
+    row_factors = tuple(-row[0] for row in phases)
+    col_factors = tuple(-(ph - phases[0][0]) for ph in phases[0])
+    # + 0 reports a float factor of -0.0 as 0.0
     return DephaseResult(
-        matrix=out,
-        row_factors=tuple(norm(zero + r) for r in row_factors),
-        col_factors=tuple(norm(zero + c) for c in col_factors),
+        matrix=phase_twirl(m, row_factors, col_factors),
+        row_factors=tuple(norm(r + 0) for r in row_factors),
+        col_factors=tuple(norm(c + 0) for c in col_factors),
     )
 
 
@@ -303,8 +311,8 @@ def classify_bh(
 ) -> BHClass:
     """Find the minimal root-of-unity order covering every entry.
 
-    Exact matrices classify unconditionally (lcm of the turn
-    denominators). Float matrices are scanned over d = 1..d_max; a
+    Exact matrices classify unconditionally: their reduced ``order`` is
+    the complexity. Float matrices are scanned over d = 1..d_max; a
     ``NotButson`` verdict therefore means "not Butson up to d_max". The
     witness is the first entry (row-major) that is not within
     ``eps_phase`` of any admissible root of unity; when every entry is
@@ -320,8 +328,8 @@ def classify_bh(
         raise DomainError(f"d_max must be at least 1, got {d_max}")
     if not eps_phase > 0:  # also rejects NaN
         raise DomainError(f"eps_phase must be positive, got {eps_phase}")
-    if m.rep == EXACT:
-        return Butson(math.lcm(*(ph.denominator for row in m.phases for ph in row)))
+    if m.order is not None:
+        return Butson(m.order)
     turns = (m.radians() / TAU).ravel()
     entry_ok = np.zeros(turns.shape, dtype=bool)
     step = max(1, _SCAN_BLOCK // turns.size)
@@ -360,13 +368,19 @@ def min_target_dimension(
 
 # --- generators -----------------------------------------------------------
 
+def check_order(p: int) -> None:
+    """Raise ``LimitExceeded`` for a matrix order above :data:`MAX_P`."""
+    if p > MAX_P:
+        raise LimitExceeded(f"matrix order {p} exceeds the limit of {MAX_P}", p=p, max_p=MAX_P)
+
+
 def fourier(d: int) -> CHMatrix:
     """Fourier matrix of order d with entries exp(2*pi*i*j*k/d), exact."""
     if d < 1:
         raise DomainError("fourier order must be >= 1")
-    return CHMatrix.from_turns(
-        [[Fraction((j * k) % d, d) for k in range(d)] for j in range(d)]
-    )
+    check_order(d)
+    d = operator.index(d)  # numpy ints too; the grid must hold Python ints
+    return CHMatrix(d, [[(j * k) % d for k in range(d)] for j in range(d)])
 
 
 def f4_family(a: Union[float, Fraction]) -> CHMatrix:
@@ -408,30 +422,25 @@ def f4_family(a: Union[float, Fraction]) -> CHMatrix:
 
 
 def sylvester_hadamard(k: int) -> CHMatrix:
-    """Real Hadamard matrix of order 2**k by the doubling construction."""
+    """Real Hadamard matrix of order 2**k: entry (j, l) is
+    (-1)**popcount(j & l), the k-fold doubling [[H, H], [H, -H]]."""
     if k < 0:
         raise DomainError("sylvester exponent must be >= 0")
-    half = Fraction(1, 2)
-    grid = [[Fraction(0)]]
-    for _ in range(k):
-        n = len(grid)
-        grid = [
-            [grid[j % n][l % n] + (half if j >= n and l >= n else 0) for l in range(2 * n)]
-            for j in range(2 * n)
-        ]
-    return CHMatrix.from_turns(grid)
+    if k >= MAX_P.bit_length():  # 2**k > MAX_P
+        raise LimitExceeded(f"matrix order 2**{k} exceeds the limit of {MAX_P}", k=k, max_p=MAX_P)
+    n = 2**k
+    return CHMatrix(2, [[(j & l).bit_count() & 1 for l in range(n)] for j in range(n)])
 
 
 # --- JSON wire format ------------------------------------------------------
 
+def phase_to_json(x: PhaseEntry):
+    """A turn as ``{"num", "den"}``, a radian as a float."""
+    return {"num": x.numerator, "den": x.denominator} if isinstance(x, Fraction) else float(x)
+
+
 def matrix_to_json(m: CHMatrix) -> dict:
-    if m.rep == EXACT:
-        phases = [
-            [{"num": t.numerator, "den": t.denominator} for t in row] for row in m.phases
-        ]
-    else:
-        phases = [[float(x) for x in row] for row in m.phases]
-    return {"p": m.p, "rep": m.rep, "phases": phases}
+    return {"p": m.p, "rep": m.rep, "phases": [[phase_to_json(x) for x in row] for row in m.phases]}
 
 
 def matrix_from_json(obj) -> CHMatrix:
@@ -445,23 +454,20 @@ def matrix_from_json(obj) -> CHMatrix:
         raise MalformedMatrix(f"matrix JSON missing field: {exc}") from exc
     if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise MalformedMatrix("p must be a positive integer")
+    check_order(p)
     if not isinstance(phases, list) or len(phases) != p or any(
         not isinstance(row, list) or len(row) != p for row in phases
     ):
         raise MalformedMatrix("phases must be a p x p grid")
     if rep == EXACT:
-        turns = []
         for row in phases:
-            out = []
             for entry in row:
                 if not isinstance(entry, dict) or set(entry) != {"num", "den"}:
                     raise MalformedMatrix("exact entries must be {num, den} objects")
                 num, den = entry["num"], entry["den"]
                 if any(isinstance(x, bool) or not isinstance(x, int) for x in (num, den)) or den < 1:
                     raise MalformedMatrix("exact entries need integer num and positive den")
-                out.append(Fraction(num, den))
-            turns.append(out)
-        return CHMatrix.from_turns(turns)
+        return CHMatrix.from_turns([[Fraction(e["num"], e["den"]) for e in row] for row in phases])
     if rep == FLOAT:
         for row in phases:
             for entry in row:

@@ -3,14 +3,8 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 TAU = 2.0 * math.pi
-
-
-def normalize_turn(t: Fraction) -> Fraction:
-    """Reduce a fraction-of-a-turn phase into [0, 1)."""
-    return Fraction(t) % 1
 
 
 def normalize_radians(x: float) -> float:

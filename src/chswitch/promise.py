@@ -210,10 +210,10 @@ def build_qudit_gates(
         raise DomainError(f"column {k} out of range for order {m.p}")
     if not m.is_dephased():
         raise NotDephased("the clock/shift construction needs a dephased matrix")
-    if m.rep == "exact":
-        q = [int(m.phases[j][k] * d) for j in range(m.p)]
+    if m.order is not None:  # then d == m.order
+        q = [row[k] for row in m.grid]
     else:
-        q = [round(m.phase_radians(j, k) * d / (2 * math.pi)) % d for j in range(m.p)]
+        q = [round(x * d / (2 * math.pi)) % d for x in _column_radians(m, k)]
     gates: list[QuditGate] = [pauli_x(target)]
     scale = target // d
     for j in range(1, m.p):

@@ -72,8 +72,18 @@ class ScsResult:
     witness: tuple[int, ...]
 
 
+def _symbol(c) -> int:
+    """An ordering symbol as an int: 1, 1.0 and numpy ints pass, 0.5 does not."""
+    try:
+        if int(c) == c:
+            return int(c)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"ordering symbol {c!r} is not an integer")
+
+
 def _normalize_perms(perms: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    seqs = tuple(sorted({tuple(int(c) for c in pm) for pm in perms}))
+    seqs = tuple(sorted({tuple(_symbol(c) for c in pm) for pm in perms}))
     if not seqs:
         raise DomainError("need at least one ordering")
     n = len(seqs[0])

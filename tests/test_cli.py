@@ -290,6 +290,7 @@ ERROR_INPUTS = {
     "f4.json": {"p": 1, "rep": "float", "phases": [[0.0]]},
     "psi.json": [[1.0, 0.0]],
     "list_instance.json": [{"matrix": {"p": 1, "rep": "exact", "phases": [[{"num": 0, "den": 1}]]}}],
+    "p_huge.json": {"p": 1025, "rep": "float", "phases": []},
 }
 
 
@@ -348,6 +349,18 @@ ERROR_INPUTS = {
           "--budget", "0"], 0, None),
         (["promise", "verify", "--instance", "{dir}/list_instance.json"], 1, "malformed_instance"),
         (["switch", "run", "--instance", "{dir}/list_instance.json"], 1, "malformed_instance"),
+        # matrix orders above matrices.MAX_P are refused before anything is built
+        (["matrix", "gen", "--family", "sylvester", "--k", "40"], 1, "limit_exceeded"),
+        (["matrix", "gen", "--family", "sylvester", "--k", "11"], 1, "limit_exceeded"),
+        (["matrix", "gen", "--family", "fourier", "--d", "1025"], 1, "limit_exceeded"),
+        (["matrix", "gen", "--family", "fourier", "--d", "100000"], 1, "limit_exceeded"),
+        (["switch", "sweep", "--family", "sylvester", "--target", "qudit", "--k", "30"], 1,
+         "limit_exceeded"),
+        (["switch", "sweep", "--family", "fourier", "--target", "cv", "--dmax", "100000"], 1,
+         "limit_exceeded"),
+        (["matrix", "validate", "{dir}/p_huge.json"], 1, "limit_exceeded"),
+        (["promise", "build", "--matrix", "{dir}/p_huge.json", "--column", "0", "--target", "cv"], 1,
+         "limit_exceeded"),
     ],
 )
 def test_cli_error_contract(tmp_path, capsys, argv, code, expect):

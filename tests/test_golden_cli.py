@@ -99,6 +99,7 @@ CASES = {
     "build_qudit_fourier5": ["promise", "build", "--matrix", "{dir}/fourier5.json", "--column", "3",
                              "--target", "qudit"],
     "dephase_twirled_fourier6": ["matrix", "dephase", "{dir}/twirled_fourier6.json"],
+    "dephase_f4_float": ["matrix", "dephase", "{dir}/f4_06.json"],
 }
 
 

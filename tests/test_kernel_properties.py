@@ -4,8 +4,9 @@ Each kernel is checked against the straightforward formula it replaces,
 kept here as the reference: the folded displacement product against a
 ``weyl_compose`` fold, the blocked Butson scan against a scan one d at a
 time, the integer orthogonality test against Fraction arithmetic over
-the whole matrix's cyclotomic order, and the vector-wise qudit switch
-against dense ordered products.
+the whole matrix's cyclotomic order, the vector-wise qudit switch
+against dense ordered products, and the exponent-grid radians against
+``float(Fraction) * TAU``, the formula of the Fraction-per-entry grid.
 """
 
 import math
@@ -27,10 +28,12 @@ from chswitch.matrices import (
     classify_bh,
     f4_family,
     fourier,
+    matrix_from_json,
+    matrix_to_json,
     phase_twirl,
     sylvester_hadamard,
 )
-from chswitch.phaseutil import TAU, circular_distance, normalize_turn
+from chswitch.phaseutil import TAU, circular_distance
 from chswitch.promise import (
     PromiseInstance,
     build_cv_gates,
@@ -74,11 +77,18 @@ def rows_orthogonal_on_fractions(m):
         for l in range(j + 1, m.p):
             expo = Counter()
             for k in range(m.p):
-                t = normalize_turn(m.phases[j][k] - m.phases[l][k])
+                t = (m.phases[j][k] - m.phases[l][k]) % 1
                 expo[int(t * order)] += 1
             if not _zeta_sum_is_zero(expo.items(), order):
                 return False
     return True
+
+
+def radians_from_fractions(m):
+    """Radians as a grid of turn Fractions gave them: float(turn) * TAU."""
+    out = np.array([[float(t) for t in row] for row in m.phases])
+    out *= TAU
+    return out
 
 
 def switch_by_dense_products(amps, gates, perm_set):
@@ -125,6 +135,27 @@ def exact_hadamards(draw, dens=(1, 2, 3, 4, 6, 8)):
     rows = draw(st.lists(turns, min_size=m.p, max_size=m.p))
     cols = draw(st.lists(turns, min_size=m.p, max_size=m.p))
     return phase_twirl(m, rows, cols)
+
+
+@st.composite
+def exponent_grids(draw, max_p=6):
+    """Exact matrices straight from (order, grid), reduced or not; orders up
+    to 10^13 and exponents outside [0, order) included."""
+    p = draw(st.integers(1, max_p))
+    order = draw(st.one_of(st.integers(1, 64), st.sampled_from([27720, 10**12 + 39]),
+                           st.integers(1, 10**13)))
+    expo = st.integers(-3 * order, 3 * order)
+    return CHMatrix(order, [[draw(expo) for _ in range(p)] for _ in range(p)])
+
+
+exact_matrices = st.one_of(
+    exponent_grids(),
+    st.builds(CHMatrix.from_turns, turn_grids(max_den=10**12 + 39)),
+    exact_hadamards(dens=(1, 5, 7, 8, 9, 11, 27720, 10**12 + 39)),
+)
+float_matrices = st.integers(1, 5).flatmap(
+    lambda p: st.lists(st.lists(reals, min_size=p, max_size=p), min_size=p, max_size=p)
+).map(CHMatrix.from_radians)
 
 
 # --- properties ------------------------------------------------------------------
@@ -265,6 +296,26 @@ def test_phase_arrays_are_read_only_and_computed_once(turns):
             arr[0, 0] = 0
         assert np.array_equal(arr, twin_arr)
     assert m.radians() is m.radians() and m.to_complex() is m.to_complex()
-    assert m.radians().tolist() == [[m.phase_radians(j, k) for k in range(m.p)] for j in range(m.p)]
     assert m == twin and hash(m) == hash(twin)
 
+
+@FEW
+@given(exact_matrices)
+def test_exact_grid_is_reduced_and_round_trips_through_turns(m):
+    assert 0 <= min(map(min, m.grid)) and max(map(max, m.grid)) < m.order
+    assert math.gcd(m.order, *(e for row in m.grid for e in row)) == 1
+    assert classify_bh(m) == Butson(m.order)
+    assert CHMatrix.from_turns(m.phases) == m
+
+
+@FEW
+@given(st.one_of(exact_matrices, float_matrices))
+def test_json_round_trip(m):
+    back = matrix_from_json(matrix_to_json(m))
+    assert back == m and hash(back) == hash(m)
+
+
+@FEW
+@given(exact_matrices)
+def test_exponent_radians_are_bit_identical_to_fraction_radians(m):
+    assert m.radians().tobytes() == radians_from_fractions(m).tobytes()

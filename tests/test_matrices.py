@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chswitch.errors import DomainError, MalformedMatrix
+from chswitch import matrices
+from chswitch.errors import DomainError, LimitExceeded, MalformedMatrix
 from chswitch.matrices import (
     Butson,
     CHMatrix,
@@ -33,7 +34,7 @@ def test_fourier2_phases():
     m = fourier(2)
     assert m.rep == "exact"
     assert m.phases == ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 2)))
-    assert m.phase_radians(1, 1) == pytest.approx(math.pi)
+    assert m.radians()[1, 1] == pytest.approx(math.pi)
 
 
 def test_validate_fourier2_ok():
@@ -103,14 +104,14 @@ def test_dephase_random_twirl_roundtrip():
     for j in range(4):
         for k in range(4):
             assert circular_distance(
-                result.matrix.phase_radians(j, k), base.phase_radians(j, k)
+                result.matrix.radians()[j, k], base.radians()[j, k]
             ) < 1e-9
     # applying the returned factors to the twirled matrix reproduces the output
     redone = phase_twirl(twirled, result.row_factors, result.col_factors)
     for j in range(4):
         for k in range(4):
             assert circular_distance(
-                redone.phase_radians(j, k), result.matrix.phase_radians(j, k)
+                redone.radians()[j, k], result.matrix.radians()[j, k]
             ) < 1e-9
 
 
@@ -209,7 +210,7 @@ def test_multiples_of_complexity_are_admissible(m):
         dim = mult * d
         for row in range(m.p):
             for col in range(m.p):
-                assert circular_distance(dim * m.phase_radians(row, col), 0.0) < 1e-9
+                assert circular_distance(dim * m.radians()[row, col], 0.0) < 1e-9
 
 
 def test_json_roundtrip_exact():
@@ -237,12 +238,42 @@ def test_json_rejects_bad_shape():
 
 def test_matrix_rejects_nonsquare():
     with pytest.raises(MalformedMatrix):
-        CHMatrix(2, "float", ((0.0, 0.0),))
+        CHMatrix(None, ((0.0, 0.0),))
+
+
+def test_exact_constructor_reduces_and_checks_its_grid():
+    # exponents mod the order, then divided with it by their common factor
+    assert CHMatrix(12, [[0, 0], [-18, 30]]) == CHMatrix(2, [[0, 0], [1, 1]])
+    assert CHMatrix(12, [[0, 0], [-18, 30]]).order == 2
+    assert CHMatrix(7, [[14]]) == CHMatrix(1, [[0]]) == fourier(1)
+    for order, grid in [(0, [[0]]), (True, [[0]]), (2.0, [[0]]), (2, [[0.0]]), (None, [[0]]),
+                        (2, [[Fraction(1, 2)]]), (2, [])]:
+        with pytest.raises(MalformedMatrix):
+            CHMatrix(order, grid)
+
+
+def test_numpy_integers_build_the_same_exact_matrix():
+    assert fourier(np.int64(6)) == fourier(6)
+    half = Fraction(np.int64(1), np.int64(2))
+    assert CHMatrix.from_turns([[np.int64(0), 0], [0, half]]) == fourier(2)
 
 
 def test_fourier_rejects_zero_order():
     with pytest.raises(DomainError):
         fourier(0)
+
+
+def test_matrix_order_bound_is_inclusive(monkeypatch):
+    # a lowered bound exercises both sides of it without building large grids
+    monkeypatch.setattr(matrices, "MAX_P", 8)
+    assert fourier(8).p == 8 and sylvester_hadamard(3).p == 8
+    assert matrix_from_json(matrix_to_json(fourier(8))) == fourier(8)
+    with pytest.raises(LimitExceeded):
+        fourier(9)
+    with pytest.raises(LimitExceeded):
+        sylvester_hadamard(4)
+    with pytest.raises(LimitExceeded):
+        matrix_from_json({"p": 9, "rep": "exact", "phases": []})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

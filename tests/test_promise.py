@@ -95,7 +95,7 @@ def test_cv_fourier3_matches_column():
     gates = build_cv_gates(m, 1, alpha=1.0)
     ratios = ratios_against_identity(gates, shift_permutations(3, 3))
     for j, r in enumerate(ratios):
-        assert circular_distance(r, m.phase_radians(j, 1)) < 1e-12
+        assert circular_distance(r, m.radians()[j, 1]) < 1e-12
 
 
 @pytest.mark.parametrize("k", range(4))

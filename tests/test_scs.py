@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -335,6 +336,18 @@ def test_order_table_cap_does_not_change_results(monkeypatch):
     # A table past 40 entries is dropped at the next call, so the 60 sets
     # went through many tables.
     assert len({id(t) for t in tables}) > 10
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_symbols_must_be_whole_numbers_cold_and_warm(monkeypatch, warm):
+    _empty_caches(monkeypatch)
+    if warm:  # the table then holds 01 and 10, and 1.0 finds them by lookup
+        assert scs_exact([(0, 1), (1, 0)]).length == 3
+    for bad in [[(0.5, 1.7), (1, 0)], [(0, 1), (1, 0.5)], [(0, float("nan"))], [("0", "1")]]:
+        with pytest.raises(DomainError):
+            scs_exact(bad)
+    assert scs_exact([(1.0, 0.0), (0, 1)]) == scs_exact([(1, 0), (0, 1)])
+    assert scs_exact([tuple(np.arange(3)), (2, 1, 0)]).length == 5
 
 
 def test_class_key_carries_the_number_of_symbols(monkeypatch):
