@@ -34,7 +34,6 @@ from .gates import (
     phase_ratio,
     product_in_order,
     weyl_compose,
-    weyl_identity,
     weyl_x,
     weyl_z,
 )
@@ -76,9 +75,6 @@ from .scs import (
 from .switch import (
     SwitchOutcome,
     apply_switch,
-    cv_control_state,
-    cv_outcome,
-    qudit_product_state,
     run_protocol,
     sweep_columns,
 )

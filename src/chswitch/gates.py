@@ -38,10 +38,6 @@ class WeylOp:
         object.__setattr__(self, "gamma", float(self.gamma))
 
 
-def weyl_identity() -> WeylOp:
-    return WeylOp(0.0, 0.0, 0.0)
-
-
 def weyl_x(alpha: float) -> WeylOp:
     """Position translation e^{-i*alpha*p}."""
     return WeylOp(0.0, 0.0, -float(alpha))

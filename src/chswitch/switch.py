@@ -6,17 +6,20 @@ the ordered product of the gates given by ordering j to the target:
     S (|j> (x) |psi>) = |j> (x) Pi_j |psi>.
 
 The protocol sandwiches the switch between M/sqrt(p) and its inverse on
-the control, starting from |0> (x) |psi|. When the gates satisfy the
+the control, starting from |0> (x) |psi>. When the gates satisfy the
 promise for column k, the control ends in |k> exactly, so the full
 outcome distribution is computed and reported rather than a sample.
 
-Finite-dimensional targets are simulated with dense joint amplitudes;
-the switch applies each ordering's gates one at a time to that branch's
-target vector, O(N*D^2) per branch, and never forms the ordered product
-as a matrix. Continuous-variable targets are never expanded: each
-control branch carries a displacement word, the promise guarantees all
-branches share a displacement, and the branch phases alone determine the
-outcome.
+Both target kinds take one path. :func:`apply_switch` returns one row
+per control branch: the target after that branch's ordering. The
+preparation puts amplitude u[j, 0] on branch j, and the switch acts on
+each branch separately, so that amplitude factors out of the branch and
+the protocol is u^dagger applied to the rows scaled by u[:, 0]. A qudit
+row is the vector Pi_j psi, computed by applying the ordering's gates
+one at a time, O(N*D^2) per branch, without forming the ordered product
+as a matrix. A displacement row is the single phase e^{i*theta_j} of
+the branch word: the target is never expanded, because every branch
+carries the same displacement and only the phases interfere.
 """
 
 from __future__ import annotations
@@ -26,27 +29,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BranchMismatch,
-    DomainError,
-    KindMismatch,
-    NotDephased,
-    ProtocolError,
-    SizeMismatch,
-)
-from .gates import (
-    Gate,
-    WeylOp,
-    gate_kind,
-    product_in_order,
-    weyl_compose,
-    weyl_identity,
-)
+from .errors import BranchMismatch, DomainError, NotDephased, ProtocolError, SizeMismatch
+from .gates import Gate, gate_kind, product_in_order
 from .matrices import CHMatrix
 from .promise import PermutationSet, build_cv_gates, build_qudit_gates, shift_permutations
 
 DEFAULT_EPS_DET = 1e-9
-_EPS_NORM = 1e-9
 _EPS_DISPLACEMENT = 1e-9
 
 
@@ -59,80 +47,55 @@ class SwitchOutcome:
     deterministic: bool
 
 
-@dataclass(frozen=True, eq=False)
-class QuditJointState:
-    """Control (x) target amplitudes as a (p, D) array."""
+def apply_switch(
+    gates: Sequence[Gate], perm_set: PermutationSet, psi: Sequence[complex] | None = None
+) -> np.ndarray:
+    """Target of every control branch; row j is ordering j applied to it.
 
-    amps: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.amps, dtype=complex)
-        if a.ndim != 2:
-            raise SizeMismatch("joint state must be a (p, D) amplitude grid")
-        a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
-
-    @property
-    def p(self) -> int:
-        return self.amps.shape[0]
-
-
-@dataclass(frozen=True)
-class CVJointState:
-    """One (amplitude, displacement word) pair per control branch."""
-
-    amps: tuple[complex, ...]
-    ops: tuple[WeylOp, ...]
-
-    def __post_init__(self):
-        if len(self.amps) != len(self.ops):
-            raise SizeMismatch("need one displacement word per branch amplitude")
-        object.__setattr__(self, "amps", tuple(complex(a) for a in self.amps))
-
-    @property
-    def p(self) -> int:
-        return len(self.amps)
-
-
-JointState = QuditJointState | CVJointState
-
-
-def qudit_product_state(control: Sequence[complex], target: Sequence[complex]) -> QuditJointState:
-    c = np.asarray(control, dtype=complex)
-    t = np.asarray(target, dtype=complex)
-    return QuditJointState(np.outer(c, t))
-
-
-def cv_control_state(control: Sequence[complex]) -> CVJointState:
-    return CVJointState(tuple(control), (weyl_identity(),) * len(control))
-
-
-def apply_switch(state: JointState, gates: Sequence[Gate], perm_set: PermutationSet) -> JointState:
-    """Apply ordering j to the target component of every control branch."""
-    if perm_set.p != state.p:
-        raise SizeMismatch(f"{perm_set.p} orderings for a control of dimension {state.p}")
+    Qudit gates give a (p, D) array of the vectors Pi_j psi, with ``psi``
+    the basis state |0> by default. Displacement gates give a (p, 1)
+    array of the branch phases e^{i*theta_j}; their target is symbolic,
+    so ``psi`` must be omitted, and every branch must carry the same
+    displacement. Orderings of one gate set do in exact arithmetic, since
+    the displacement components add up independently of the order; float
+    sums of very different magnitudes may not, and raise
+    :class:`BranchMismatch`.
+    """
     kind = gate_kind(gates)
     if len(gates) != perm_set.n:
         raise SizeMismatch(f"{len(gates)} gates for orderings over {perm_set.n} slots")
-    if isinstance(state, QuditJointState):
-        if kind != "qudit":
-            raise KindMismatch("dense joint state needs qudit gates")
-        if gates[0].dim != state.amps.shape[1]:
-            raise SizeMismatch(
-                f"gate dimension {gates[0].dim} != target dimension {state.amps.shape[1]}"
-            )
-        rows = []
-        for pm, vec in zip(perm_set.perms, state.amps):
-            for idx in pm:
-                vec = gates[idx].matrix @ vec
-            rows.append(vec)
-        return QuditJointState(np.array(rows))
-    if kind != "weyl":
-        raise KindMismatch("symbolic joint state needs displacement gates")
-    ops = tuple(
-        weyl_compose(product_in_order(gates, pm), op) for pm, op in zip(perm_set.perms, state.ops)
-    )
-    return CVJointState(state.amps, ops)
+    if kind == "weyl":
+        if psi is not None:
+            raise DomainError("displacement-gate targets are symbolic; do not pass psi")
+        words = [product_in_order(gates, pm) for pm in perm_set.perms]
+        ref = words[0]
+        for j, op in enumerate(words):
+            if (abs(op.beta - ref.beta) > _EPS_DISPLACEMENT
+                    or abs(op.gamma - ref.gamma) > _EPS_DISPLACEMENT):
+                raise BranchMismatch(
+                    "control branches carry different target displacements; "
+                    "their interference depends on the unknown target state",
+                    branch=j,
+                )
+        return np.exp(1j * np.array([[op.theta] for op in words]))
+
+    dim = gates[0].dim
+    if psi is None:
+        target = np.zeros(dim, dtype=complex)
+        target[0] = 1.0
+    else:
+        target = np.asarray(psi, dtype=complex)
+        if target.shape != (dim,):
+            raise SizeMismatch(f"target state must have dimension {dim}")
+        if abs(np.linalg.norm(target) - 1.0) > 1e-6:
+            raise DomainError("target state must be normalized")
+    rows = np.empty((perm_set.p, dim), dtype=complex)
+    for j, pm in enumerate(perm_set.perms):
+        vec = target
+        for idx in pm:
+            vec = gates[idx].matrix @ vec
+        rows[j] = vec
+    return rows
 
 
 def _outcome(control_amps: np.ndarray, eps_det: float) -> SwitchOutcome:
@@ -161,56 +124,11 @@ def run_protocol(
         raise NotDephased("the protocol requires the matrix in dephased form")
     if perm_set.p != m.p:
         raise SizeMismatch(f"matrix order {m.p} != number of orderings {perm_set.p}")
-    kind = gate_kind(gates)
     u = m.to_complex() / np.sqrt(m.p)
-
-    if kind == "qudit":
-        dim = gates[0].dim
-        if psi is None:
-            target = np.zeros(dim, dtype=complex)
-            target[0] = 1.0
-        else:
-            target = np.asarray(psi, dtype=complex)
-            if target.shape != (dim,):
-                raise SizeMismatch(f"target state must have dimension {dim}")
-            if abs(np.linalg.norm(target) - 1.0) > 1e-6:
-                raise DomainError("target state must be normalized")
-        joint = np.zeros((m.p, dim), dtype=complex)
-        joint[0] = target
-        joint = u @ joint
-        joint = apply_switch(QuditJointState(joint), gates, perm_set).amps
-        joint = u.conj().T @ joint
-        return _outcome(np.linalg.norm(joint, axis=1), eps_det)
-
-    if psi is not None:
-        raise DomainError("displacement-gate targets are symbolic; do not pass psi")
-    state = cv_control_state(u[:, 0])
-    state = apply_switch(state, gates, perm_set)
-    return cv_outcome(state, m, eps_det)
-
-
-def cv_outcome(state: CVJointState, m: CHMatrix, eps_det: float = DEFAULT_EPS_DET) -> SwitchOutcome:
-    """Invert the control preparation and measure a symbolic joint state.
-
-    Only defined when every branch carries the same displacement (then the
-    branch words differ by scalars and interfere like ordinary
-    amplitudes). Orderings of one gate set always satisfy this, since the
-    displacement components add up independently of the order; the check
-    protects hand-built states.
-    """
-    if len(state.amps) != m.p:
-        raise SizeMismatch(f"{len(state.amps)} branches for a control of dimension {m.p}")
-    ref = state.ops[0]
-    for j, op in enumerate(state.ops):
-        if abs(op.beta - ref.beta) > _EPS_DISPLACEMENT or abs(op.gamma - ref.gamma) > _EPS_DISPLACEMENT:
-            raise BranchMismatch(
-                "control branches carry different target displacements; "
-                "their interference depends on the unknown target state",
-                branch=j,
-            )
-    amps = np.array([a * np.exp(1j * op.theta) for a, op in zip(state.amps, state.ops)])
-    final = (m.to_complex() / np.sqrt(m.p)).conj().T @ amps
-    return _outcome(final, eps_det)
+    # the switch acts on each branch separately, so the amplitude u[j, 0]
+    # the preparation puts on branch j scales that branch's row as a whole
+    final = u.conj().T @ (u[:, :1] * apply_switch(gates, perm_set, psi))
+    return _outcome(np.linalg.norm(final, axis=1), eps_det)
 
 
 def sample_outcome(outcome: SwitchOutcome, seed: int) -> int:
@@ -219,37 +137,24 @@ def sample_outcome(outcome: SwitchOutcome, seed: int) -> int:
     return int(rng.choice(len(outcome.distribution), p=np.array(outcome.distribution)))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    column: int
-    argmax: int
-    probability: float
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]
-    worst_deviation: float
-
-
 def sweep_columns(
     m: CHMatrix,
     target: str,
     dim: int | None = None,
     alpha: float = 1.0,
     eps_det: float = DEFAULT_EPS_DET,
-) -> SweepReport:
+) -> float:
     """Build gates for every column, run the protocol, demand recovery.
 
     ``target`` selects the builder: "qudit" (clock/shift, optional
     ``dim``) or "cv" (displacements with translation size ``alpha``).
-    Raises :class:`ProtocolError` on the first column that is not
-    recovered deterministically.
+    Returns the worst deviation 1 - P(k) over the columns k; raises
+    :class:`ProtocolError` on the first column that is not recovered
+    deterministically.
     """
     if target not in ("qudit", "cv"):
         raise DomainError(f"unknown target {target!r}")
     perm_set = shift_permutations(m.p, m.p)
-    rows = []
     worst = 0.0
     for k in range(m.p):
         if target == "qudit":
@@ -259,7 +164,6 @@ def sweep_columns(
         out = run_protocol(m, perm_set, gates, eps_det=eps_det)
         prob = out.distribution[k]
         worst = max(worst, 1.0 - prob)
-        rows.append(SweepRow(k, out.argmax, prob))
         if out.argmax != k or not out.deterministic:
             raise ProtocolError(
                 f"column {k} not recovered deterministically (argmax {out.argmax}, "
@@ -268,4 +172,4 @@ def sweep_columns(
                 argmax=out.argmax,
                 probability=prob,
             )
-    return SweepReport(tuple(rows), worst)
+    return worst

@@ -11,6 +11,9 @@ import pytest
 
 import chswitch
 from chswitch.cli import main
+from chswitch.gates import WeylOp
+from chswitch.matrices import fourier
+from chswitch.promise import PromiseInstance, save_instance, shift_permutations
 
 
 def run_cli(capsys, *argv):
@@ -156,7 +159,9 @@ def test_switch_sweep_families(capsys):
     code, out, _ = run_cli(capsys, "switch", "sweep", "--family", "fourier", "--dmax", "4", "--target", "qudit")
     assert code == 0
     payload = json.loads(out)
-    assert payload["all_deterministic"] is True
+    # a column that is not recovered exits 1, so a sweep that prints succeeded
+    assert set(payload) == {"target", "sweeps"}
+    assert all(s["worst_deviation"] < 1e-9 for s in payload["sweeps"])
     assert [s["d"] for s in payload["sweeps"]] == [2, 3, 4]
     code, out, _ = run_cli(
         capsys, "switch", "sweep", "--family", "f4", "--a", "0.0,1.5707963,0.3", "--target", "cv"
@@ -292,6 +297,11 @@ ERROR_INPUTS = {
     "list_instance.json": [{"matrix": {"p": 1, "rep": "exact", "phases": [[{"num": 0, "den": 1}]]}}],
     "p_huge.json": {"p": 1025, "rep": "float", "phases": []},
 }
+# Written by save_instance: displacements whose float sums depend on the
+# order, so the switch branches carry different displacements.
+BRANCH_MISMATCH = PromiseInstance(
+    fourier(3), shift_permutations(3, 3), (WeylOp(0, 1e17, 0), WeylOp(0, -1e17, 0), WeylOp(0, 1, 0))
+)
 
 
 @pytest.mark.parametrize(
@@ -361,11 +371,13 @@ ERROR_INPUTS = {
         (["matrix", "validate", "{dir}/p_huge.json"], 1, "limit_exceeded"),
         (["promise", "build", "--matrix", "{dir}/p_huge.json", "--column", "0", "--target", "cv"], 1,
          "limit_exceeded"),
+        (["switch", "run", "--instance", "{dir}/branch_mismatch.json"], 1, "branch_mismatch"),
     ],
 )
 def test_cli_error_contract(tmp_path, capsys, argv, code, expect):
     for name, obj in ERROR_INPUTS.items():
         (tmp_path / name).write_text(json.dumps(obj))
+    save_instance(BRANCH_MISMATCH, tmp_path / "branch_mismatch.json")
     got, out, err = run_cli(capsys, *[a.replace("{dir}", str(tmp_path)) for a in argv])
     assert got == code
     assert "Traceback" not in err

@@ -5,10 +5,14 @@ kept here as the reference: the folded displacement product against a
 ``weyl_compose`` fold, the blocked Butson scan against a scan one d at a
 time, the integer orthogonality test against Fraction arithmetic over
 the whole matrix's cyclotomic order, the vector-wise qudit switch
-against dense ordered products, and the exponent-grid radians against
+against dense ordered products, the branch-row protocol against the
+explicit joint state it factors, and the exponent-grid radians against
 ``float(Fraction) * TAU``, the formula of the Fraction-per-entry grid.
+The JSON wire formats of gate sets and instances are checked to round
+trip.
 """
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -18,7 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chswitch.gates import QuditGate, WeylOp, product_in_order, weyl_compose
+from chswitch.gates import (
+    QuditGate,
+    WeylOp,
+    gateset_from_json,
+    gateset_to_json,
+    product_in_order,
+    weyl_compose,
+)
 from chswitch.matrices import (
     Butson,
     CHMatrix,
@@ -39,10 +50,12 @@ from chswitch.promise import (
     build_cv_gates,
     build_minimal_ch4,
     build_qudit_gates,
+    instance_from_json,
+    instance_to_json,
     shift_permutations,
     verify_promise,
 )
-from chswitch.switch import QuditJointState, apply_switch, run_protocol
+from chswitch.switch import apply_switch, run_protocol
 
 FEW = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -99,6 +112,38 @@ def switch_by_dense_products(amps, gates, perm_set):
             mat = gates[idx].matrix @ mat
         rows.append(mat @ vec)
     return np.array(rows)
+
+
+def protocol_by_joint_state(m, perm_set, gates, psi):
+    """Control distribution from the explicit joint state: M/sqrt(p) on the
+    control of |0> (x) |psi>, each branch's ordered product, then the
+    inverse preparation. A displacement target stays symbolic: a branch
+    holds an amplitude and a word, and the words must share their
+    displacement for the branches to interfere."""
+    u = m.to_complex() / math.sqrt(m.p)
+    if isinstance(gates[0], WeylOp):
+        joint0 = np.zeros(m.p, dtype=complex)
+        joint0[0] = 1.0
+        words = [fold_weyl(gates, pm) for pm in perm_set.perms]
+        assert all(abs(w.beta - words[0].beta) <= 1e-9 and abs(w.gamma - words[0].gamma) <= 1e-9
+                   for w in words)
+        joint = (u @ joint0) * np.exp(1j * np.array([w.theta for w in words]))
+        amps = np.abs(u.conj().T @ joint)
+    else:
+        joint0 = np.zeros((m.p, len(psi)), dtype=complex)
+        joint0[0] = psi
+        joint = switch_by_dense_products(u @ joint0, gates, perm_set)
+        amps = np.linalg.norm(u.conj().T @ joint, axis=1)
+    dist = amps**2
+    return dist / dist.sum()
+
+
+def random_qudit_gates(rng, n, dim):
+    gates = []
+    for _ in range(n):
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        gates.append(QuditGate(dim, np.linalg.qr(z)[0]))
+    return gates
 
 
 # --- strategies ----------------------------------------------------------------
@@ -244,14 +289,18 @@ def test_perturbed_twirl_is_not_orthogonal():
 @given(st.integers(2, 6), st.integers(2, 5), st.integers(0, 2**32 - 1))
 def test_vector_switch_matches_dense_products(n, dim, seed):
     rng = np.random.default_rng(seed)
-    gates = []
-    for _ in range(n):
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        gates.append(QuditGate(dim, np.linalg.qr(z)[0]))
+    gates = random_qudit_gates(rng, n, dim)
     perm_set = shift_permutations(n, n)
-    amps = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-    got = apply_switch(QuditJointState(amps), gates, perm_set).amps
-    assert np.allclose(got, switch_by_dense_products(amps, gates, perm_set), atol=1e-12)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    control = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    rows = apply_switch(gates, perm_set, psi)
+    assert np.allclose(rows, switch_by_dense_products(np.tile(psi, (n, 1)), gates, perm_set),
+                       atol=1e-12)
+    # any control amplitudes scale the rows, as they scale the joint state
+    got = control[:, None] * rows
+    want = switch_by_dense_products(np.outer(control, psi), gates, perm_set)
+    assert np.allclose(got, want, atol=1e-12)
 
 
 @st.composite
@@ -284,6 +333,65 @@ def test_verify_promise_agrees_with_run_protocol(inst):
     out = run_protocol(inst.matrix, inst.perm_set, inst.gates)
     assert column == out.argmax == inst.claimed_column
     assert out.deterministic
+
+
+@st.composite
+def protocol_runs(draw):
+    """(matrix, orderings, gates, psi): promise instances, and the same
+    matrices and orderings with random gates of the same kind."""
+    inst = draw(promise_instances())
+    gates = inst.gates
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    qudit = isinstance(gates[0], QuditGate)
+    if draw(st.booleans()):
+        if qudit:
+            gates = random_qudit_gates(rng, len(gates), gates[0].dim)
+        else:
+            gates = [WeylOp(*rng.uniform(-3.0, 3.0, 3)) for _ in gates]
+    psi = None
+    if qudit:
+        psi = rng.standard_normal(gates[0].dim) + 1j * rng.standard_normal(gates[0].dim)
+        psi /= np.linalg.norm(psi)
+    return inst.matrix, inst.perm_set, tuple(gates), psi
+
+
+@FEW
+@given(protocol_runs())
+def test_run_protocol_matches_joint_state(run):
+    m, perm_set, gates, psi = run
+    out = run_protocol(m, perm_set, gates, psi)
+    assert np.allclose(out.distribution, protocol_by_joint_state(m, perm_set, gates, psi),
+                       atol=1e-12)
+
+
+weyl_gate_sets = st.lists(st.builds(WeylOp, st.floats(0.0, 7.0), reals, reals),
+                          min_size=1, max_size=6)
+qudit_gate_sets = st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1)).map(
+    lambda t: random_qudit_gates(np.random.default_rng(t[2]), t[0], t[1])
+)
+
+
+@FEW
+@given(st.one_of(weyl_gate_sets, qudit_gate_sets))
+def test_gateset_json_round_trip(gates):
+    back = gateset_from_json(json.loads(json.dumps(gateset_to_json(gates))))
+    assert len(back) == len(gates)
+    for g, b in zip(gates, back):
+        assert type(b) is type(g)
+        if isinstance(g, WeylOp):
+            assert b == g
+        else:
+            assert b.dim == g.dim and np.array_equal(b.matrix, g.matrix)
+
+
+@FEW
+@given(promise_instances())
+def test_instance_json_round_trip(inst):
+    back = instance_from_json(json.loads(json.dumps(instance_to_json(inst))))
+    assert back.matrix == inst.matrix
+    assert back.perm_set == inst.perm_set
+    assert back.claimed_column == inst.claimed_column
+    assert verify_promise(back) == verify_promise(inst) == inst.claimed_column
 
 
 @FEW

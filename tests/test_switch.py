@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from chswitch.errors import BranchMismatch, NotDephased, ProtocolError, SizeMismatch
-from chswitch.gates import QuditGate, WeylOp, pauli_x, pauli_z, qudit_identity, weyl_x
+from chswitch.errors import BranchMismatch, DomainError, NotDephased, ProtocolError, SizeMismatch
+from chswitch.gates import QuditGate, WeylOp, pauli_x, pauli_z, product_in_order, qudit_identity
 from chswitch.matrices import f4_family, fourier, phase_twirl, sylvester_hadamard
 from chswitch.promise import (
     PromiseInstance,
@@ -16,17 +16,7 @@ from chswitch.promise import (
     shift_permutations,
     verify_promise,
 )
-from chswitch.switch import (
-    CVJointState,
-    QuditJointState,
-    apply_switch,
-    cv_control_state,
-    cv_outcome,
-    qudit_product_state,
-    run_protocol,
-    sample_outcome,
-    sweep_columns,
-)
+from chswitch.switch import apply_switch, run_protocol, sample_outcome, sweep_columns
 
 
 def random_unitary(dim, rng):
@@ -38,36 +28,56 @@ def random_unitary(dim, rng):
 def test_switch_on_basis_control_applies_one_order():
     gates = (pauli_x(2), pauli_z(2))
     ps = shift_permutations(2, 2)
-    state = qudit_product_state([1.0, 0.0], [1.0, 0.0])
-    out = apply_switch(state, gates, ps)
-    # branch 0 carries Z X |0>, branch 1 stays empty
-    assert np.allclose(out.amps[0], pauli_z(2).matrix @ pauli_x(2).matrix @ [1, 0])
-    assert np.allclose(out.amps[1], 0.0)
+    rows = apply_switch(gates, ps, [1.0, 0.0])
+    x, z = pauli_x(2).matrix, pauli_z(2).matrix
+    # row j is ordering j on the target: Z X |0> and X Z |0>
+    assert rows.shape == (2, 2)
+    assert np.allclose(rows[0], z @ x @ [1, 0])
+    assert np.allclose(rows[1], x @ z @ [1, 0])
+    # on the control |0>, branch 0 carries Z X |0> and branch 1 stays empty
+    out = np.array([[1.0], [0.0]]) * rows
+    assert np.allclose(out[0], z @ x @ [1, 0])
+    assert np.allclose(out[1], 0.0)
 
 
 def test_switch_uniform_control_branches_anticommute():
     gates = (pauli_x(2), pauli_z(2))
     ps = shift_permutations(2, 2)
-    state = qudit_product_state([1 / math.sqrt(2), 1 / math.sqrt(2)], [1.0, 0.0])
-    out = apply_switch(state, gates, ps)
-    assert np.allclose(out.amps[1], -out.amps[0])
+    out = np.full((2, 1), 1 / math.sqrt(2)) * apply_switch(gates, ps, [1.0, 0.0])
+    assert np.allclose(out[1], -out[0])
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_switch_cv_branches_share_displacement():
     m = fourier(3)
     gates = build_cv_gates(m, 1)
-    state = cv_control_state([1 / math.sqrt(3)] * 3)
-    out = apply_switch(state, gates, shift_permutations(3, 3))
-    betas = {round(op.beta, 12) for op in out.ops}
-    gammas = {round(op.gamma, 12) for op in out.ops}
+    ps = shift_permutations(3, 3)
+    words = [product_in_order(gates, pm) for pm in ps.perms]
+    betas = {round(op.beta, 12) for op in words}
+    gammas = {round(op.gamma, 12) for op in words}
     assert len(betas) == 1 and len(gammas) == 1
+    # the shared displacement leaves one phase per branch
+    rows = apply_switch(gates, ps)
+    assert rows.shape == (3, 1)
+    assert np.allclose(rows[:, 0], [np.exp(1j * op.theta) for op in words])
 
 
 def test_switch_size_mismatch():
     gates = (pauli_x(2), pauli_z(2))
-    state = qudit_product_state([1.0, 0.0, 0.0], [1.0, 0.0])
     with pytest.raises(SizeMismatch):
-        apply_switch(state, gates, shift_permutations(2, 2))
+        run_protocol(fourier(3), shift_permutations(2, 2), gates)
+    with pytest.raises(SizeMismatch):
+        apply_switch(gates, shift_permutations(3, 3))
+    with pytest.raises(SizeMismatch):
+        apply_switch(gates, shift_permutations(2, 2), [1.0, 0.0, 0.0])
+
+
+def test_switch_target_state_checks():
+    ps = shift_permutations(2, 2)
+    with pytest.raises(DomainError):
+        apply_switch((pauli_x(2), pauli_z(2)), ps, [1.0, 1.0])
+    with pytest.raises(DomainError):
+        run_protocol(fourier(2), ps, build_cv_gates(fourier(2), 1), psi=[1.0])
 
 
 def test_protocol_anticommuting_pair():
@@ -106,11 +116,14 @@ def test_protocol_norm_preserved_stage_by_stage():
     for stage in range(3):
         if stage == 0:
             joint = u @ joint
+            # the prepared branches are u[j, 0] |0>
+            assert np.allclose(joint, u[:, :1] * np.eye(3)[0])
         elif stage == 1:
-            joint = apply_switch(QuditJointState(joint), gates, ps).amps
+            joint = u[:, :1] * apply_switch(gates, ps)
         else:
             joint = u.conj().T @ joint
         assert np.linalg.norm(joint) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.norm(joint[1]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_protocol_outcome_independent_of_target_state():
@@ -159,11 +172,14 @@ def test_protocol_cv_random_gates_not_deterministic():
     assert hits == 0
 
 
-def test_cv_outcome_rejects_mismatched_branches():
-    # hand-built joint states with unequal displacements cannot interfere
-    state = CVJointState((1 / math.sqrt(2), 1 / math.sqrt(2)), (weyl_x(1.0), weyl_x(2.0)))
-    with pytest.raises(BranchMismatch):
-        cv_outcome(state, fourier(2))
+def test_protocol_rejects_mismatched_branches():
+    # the displacements add up to 1 in orderings 0 and 1, but ordering 2
+    # sums -1e17 + 1 first and rounds the 1 away; branches with different
+    # displacements cannot interfere
+    gates = (WeylOp(0, 1e17, 0), WeylOp(0, -1e17, 0), WeylOp(0, 1, 0))
+    with pytest.raises(BranchMismatch) as exc:
+        run_protocol(fourier(3), shift_permutations(3, 3), gates)
+    assert exc.value.payload == {"branch": 2}
 
 
 def test_protocol_identity_gates_point_to_column_zero():
@@ -193,9 +209,9 @@ def test_protocol_agrees_with_verification():
 
 
 def test_sweep_columns_families():
-    assert sweep_columns(fourier(4), "qudit").worst_deviation < 1e-9
-    assert sweep_columns(f4_family(2.0), "cv").worst_deviation < 1e-9
-    assert sweep_columns(sylvester_hadamard(2), "qudit", dim=2).worst_deviation < 1e-9
+    assert 0.0 <= sweep_columns(fourier(4), "qudit") < 1e-9
+    assert 0.0 <= sweep_columns(f4_family(2.0), "cv") < 1e-9
+    assert 0.0 <= sweep_columns(sylvester_hadamard(2), "qudit", dim=2) < 1e-9
 
 
 def test_sweep_columns_raises_on_failure(monkeypatch):
