@@ -3,8 +3,10 @@
 Each case runs one ``chswitch`` command in-process and compares its exit
 code and stdout with the files under ``tests/golden/``. The matrices and
 instances the cases read are built first by the setup commands below,
-plus one exact matrix that no ``matrix gen`` family produces: a Fourier
-matrix with exact row and column phases, written by ``save_matrix``.
+plus exact matrices that no ``matrix gen`` family produces, written by
+``save_matrix``: twirled Fourier matrices with exact row and column
+phases, and a 2x2 grid whose float gram passes but whose rows are not
+orthogonal.
 A change that alters one of these outputs on purpose regenerates them
 with ``PYTHONPATH=src python tests/test_golden_cli.py`` and says so.
 """
@@ -22,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from chswitch.cli import main
-from chswitch.matrices import fourier, phase_twirl, save_matrix
+from chswitch.matrices import CHMatrix, fourier, phase_twirl, save_matrix
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -40,6 +42,8 @@ SETUP = [
     ["matrix", "gen", "--family", "f4", "--a", "0.6", "--out", "{dir}/f4_06.json"],
     ["matrix", "gen", "--family", "f4", "--a", NEAR_ORDER7_A, "--out", "{dir}/f4_near7.json"],
     ["matrix", "gen", "--family", "f4", "--a", ORDER24_A, "--out", "{dir}/f4_24.json"],
+    ["matrix", "gen", "--family", "fourier", "--d", "64", "--out", "{dir}/fourier64.json"],
+    ["matrix", "gen", "--family", "f4", "--a-turn", "1/24", "--out", "{dir}/f4_turn24.json"],
     ["promise", "build", "--matrix", "{dir}/fourier5.json", "--column", "3",
      "--target", "qudit", "--out", "{dir}/qudit_fourier5.json"],
     ["promise", "build", "--matrix", "{dir}/sylvester2.json", "--column", "3",
@@ -53,6 +57,11 @@ SETUP = [
 # row and column turns of the twirled Fourier-6 that ``matrix dephase`` reads
 TWIRL_ROWS = [Fraction(1, 3), Fraction(1, 4), Fraction(0), Fraction(5, 7), Fraction(1, 2), Fraction(2, 5)]
 TWIRL_COLS = [Fraction(1, 8), Fraction(0), Fraction(1, 6), Fraction(3, 4), Fraction(1, 9), Fraction(1, 5)]
+# a twirled Fourier-9 of lcm order 360,360, whose dephased order is 9
+TWIRL9_ROWS = [Fraction(1, 8), Fraction(1, 5), Fraction(1, 7), Fraction(1, 11)] + [Fraction(0)] * 5
+TWIRL9_COLS = [Fraction(1, 13)] * 9
+# gram modulus 0.445 below 1/2, but its Galois conjugate zeta -> zeta^2 has 1.80
+NOT_ORTHOGONAL_37 = [[0, 0], [0, Fraction(3, 7)]]
 
 CASES = {
     "sweep_fourier_qudit": ["switch", "sweep", "--family", "fourier", "--target", "qudit", "--dmax", "24"],
@@ -100,6 +109,12 @@ CASES = {
                              "--target", "qudit"],
     "dephase_twirled_fourier6": ["matrix", "dephase", "{dir}/twirled_fourier6.json"],
     "dephase_f4_float": ["matrix", "dephase", "{dir}/f4_06.json"],
+    # exact orthogonality: a float gram below 1/2 that is not zero, a large
+    # lcm order, a generated Fourier-64 and an order-24 f4
+    "validate_not_orthogonal_37": ["matrix", "validate", "{dir}/not_orthogonal_37.json"],
+    "validate_twirled_fourier9": ["matrix", "validate", "{dir}/twirled_fourier9.json"],
+    "validate_fourier64": ["matrix", "validate", "{dir}/fourier64.json"],
+    "validate_f4_turn24": ["matrix", "validate", "{dir}/f4_turn24.json"],
 }
 
 
@@ -115,7 +130,10 @@ def _setup(directory) -> None:
         code, _ = _run(argv, directory)
         if code != 0:
             raise RuntimeError(f"setup command failed with exit {code}: {argv}")
-    save_matrix(phase_twirl(fourier(6), TWIRL_ROWS, TWIRL_COLS), Path(directory) / "twirled_fourier6.json")
+    directory = Path(directory)
+    save_matrix(phase_twirl(fourier(6), TWIRL_ROWS, TWIRL_COLS), directory / "twirled_fourier6.json")
+    save_matrix(phase_twirl(fourier(9), TWIRL9_ROWS, TWIRL9_COLS), directory / "twirled_fourier9.json")
+    save_matrix(CHMatrix.from_turns(NOT_ORTHOGONAL_37), directory / "not_orthogonal_37.json")
 
 
 @pytest.fixture(scope="module")
