@@ -12,8 +12,8 @@ encodings are supported:
 
 Turns (:class:`fractions.Fraction`) appear only at the edge: in
 :meth:`CHMatrix.from_turns`, the ``phases`` view, the JSON format and the
-phases :func:`phase_twirl` takes. Exact orthogonality is decided by
-cyclotomic polynomial division on the exponents, not in floating point.
+phases :func:`phase_twirl` takes. Exact orthogonality is decided on the
+float grams of the grid's Galois conjugates (see :func:`validate_ch`).
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -41,6 +39,9 @@ DEFAULT_D_MAX = 4096
 # Largest matrix order p that the generators and the JSON reader accept
 # (printing Fourier-1024 takes about 4 s and 400 MB, Fourier-2048 21 s and 1.6 GB)
 MAX_P = 1024
+# Largest dephased root-of-unity order that exact validation decides: one
+# float gram per unit a <= order/2 (about 4 s at 2**20 and p = 4)
+MAX_EXACT_ORDER = 2**20
 # (d, entry) pairs per block of the float Butson scan: a 128 KiB float array
 _SCAN_BLOCK = 2**14
 
@@ -165,64 +166,26 @@ class NotButson:
 BHClass = Union[Butson, NotButson]
 
 
-# --- exact arithmetic on roots of unity ---------------------------------
-
-def _poly_divmod(num: Sequence[int], den: Sequence[int]):
-    """Long division of integer polynomials, coefficients lowest first.
-
-    ``den`` must be monic so quotient and remainder stay integral.
-    """
-    num = list(num)
-    deg = len(den) - 1
-    quot = [0] * max(len(num) - deg, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c = num[i + deg]
-        if c:
-            quot[i] = c
-            for k in range(deg + 1):
-                num[i + k] -= c * den[k]
-    return quot, num[:deg]
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, lowest degree first."""
-    coeffs: Sequence[int] = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            coeffs, rem = _poly_divmod(coeffs, _cyclotomic(d))
-            assert not any(rem)
-    return tuple(coeffs)
-
-
-def _zeta_sum_is_zero(multiplicities, order: int) -> bool:
-    """Whether ``sum_k m_k * zeta^{e_k}`` vanishes for the primitive
-    ``order``-th root of unity zeta.
-
-    Z[zeta] is Z[x] modulo the ``order``-th cyclotomic polynomial, so the
-    sum is zero iff that polynomial divides the multiplicity polynomial.
-    """
-    poly = [0] * order
-    for e, c in multiplicities:
-        poly[e % order] += c
-    _, rem = _poly_divmod(poly, _cyclotomic(order))
-    return not any(rem)
+def _max_off_diagonal(u: np.ndarray) -> float:
+    gram = u @ u.conj().T
+    np.fill_diagonal(gram, 0.0)
+    return float(np.max(np.abs(gram)))
 
 
 def _exact_rows_orthogonal(m: CHMatrix) -> bool:
-    order, expo = m.order, m.grid
-    for j in range(m.p):
-        for l in range(j + 1, m.p):
-            # A common factor zeta^shift does not decide whether the row
-            # product vanishes, and exponents that all share a factor step
-            # with the order are roots of unity of the smaller order/step.
-            shift = expo[j][0] - expo[l][0]
-            diff = [(a - b - shift) % order for a, b in zip(expo[j], expo[l])]
-            step = math.gcd(order, *diff)
-            counts = Counter(e // step for e in diff)
-            if not _zeta_sum_is_zero(counts.items(), order // step):
-                return False
-    return True
+    """The conjugate-gram test of :func:`validate_ch` on the dephased grid;
+    dephasing keeps every modulus and lowers n to what the rows need."""
+    top = m.grid[0]
+    grid = [[e - row[0] - top[k] + top[0] for k, e in enumerate(row)] for row in m.grid]
+    step = math.gcd(m.order, *(e for row in grid for e in row))
+    n = m.order // step
+    if n > MAX_EXACT_ORDER:
+        raise LimitExceeded(f"dephased root-of-unity order {n} exceeds the limit of {MAX_EXACT_ORDER}",
+                            order=n, max_order=MAX_EXACT_ORDER)
+    expo = np.array([[(e // step) % n for e in row] for row in grid], dtype=np.int64)
+    # max(1, ...): an all-zero grid has n = 1 and still needs its a = 1 gram
+    units = (a for a in range(1, max(1, n // 2) + 1) if math.gcd(a, n) == 1)
+    return all(_max_off_diagonal(np.exp(1j * TAU / n * (a * expo % n))) < 0.5 for a in units)
 
 
 # --- core operations -----------------------------------------------------
@@ -231,19 +194,23 @@ def validate_ch(m: CHMatrix, eps_unitary: float = DEFAULT_EPS_UNITARY) -> Valida
     """Check the complex Hadamard property ``M M^dagger = p*I``.
 
     The diagonal holds structurally (entries are unimodular), so only the
-    pairwise row inner products are examined. Exact matrices are decided
-    exactly; float matrices pass when every off-diagonal modulus is at most
-    ``eps_unitary * p``. The report always carries the worst numeric
-    off-diagonal modulus.
+    pairwise row inner products are examined. Float matrices pass when
+    every off-diagonal modulus is at most ``eps_unitary * p``. Exact ones
+    are decided exactly: a nonzero row product s of n-th roots of unity has
+    a nonzero integer norm, the product of its conjugates s(zeta^a) over
+    the units a mod n, so some conjugate has modulus at least 1. Conjugate
+    a of every row pair is an entry of the float gram of the grid a*e mod n
+    (rounding error about 1e-12 for p <= MAX_P), and a, n - a give complex
+    conjugate grams. So the rows are orthogonal exactly when every unit
+    a <= n/2 leaves every off-diagonal modulus below 1/2. A dephased order
+    above ``MAX_EXACT_ORDER`` that passes the a = 1 gram raises
+    ``LimitExceeded``. The report carries the worst a = 1 modulus.
     """
     if m.p == 1:
         return ValidationReport(True, 0.0)
-    u = m.to_complex()
-    gram = u @ u.conj().T
-    np.fill_diagonal(gram, 0.0)
-    deviation = float(np.max(np.abs(gram)))
+    deviation = _max_off_diagonal(m.to_complex())
     if m.order is not None:
-        ok = _exact_rows_orthogonal(m)
+        ok = deviation < 0.5 and _exact_rows_orthogonal(m)
     else:
         ok = deviation <= eps_unitary * m.p
     return ValidationReport(ok, deviation)

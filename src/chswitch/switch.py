@@ -141,13 +141,12 @@ def sweep_columns(
     m: CHMatrix,
     target: str,
     dim: int | None = None,
-    alpha: float = 1.0,
     eps_det: float = DEFAULT_EPS_DET,
 ) -> float:
     """Build gates for every column, run the protocol, demand recovery.
 
     ``target`` selects the builder: "qudit" (clock/shift, optional
-    ``dim``) or "cv" (displacements with translation size ``alpha``).
+    ``dim``) or "cv" (displacements of unit translation size).
     Returns the worst deviation 1 - P(k) over the columns k; raises
     :class:`ProtocolError` on the first column that is not recovered
     deterministically.
@@ -160,7 +159,7 @@ def sweep_columns(
         if target == "qudit":
             gates: Sequence[Gate] = build_qudit_gates(m, k, dim=dim)
         else:
-            gates = build_cv_gates(m, k, alpha=alpha)
+            gates = build_cv_gates(m, k)
         out = run_protocol(m, perm_set, gates, eps_det=eps_det)
         prob = out.distribution[k]
         worst = max(worst, 1.0 - prob)

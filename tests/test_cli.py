@@ -296,6 +296,11 @@ ERROR_INPUTS = {
     "psi.json": [[1.0, 0.0]],
     "list_instance.json": [{"matrix": {"p": 1, "rep": "exact", "phases": [[{"num": 0, "den": 1}]]}}],
     "p_huge.json": {"p": 1025, "rep": "float", "phases": []},
+    # its gram passes (modulus ~1e-20), and its dephased order is 2**70
+    "order_huge.json": {"p": 2, "rep": "exact", "phases": [
+        [{"num": 0, "den": 1}, {"num": 0, "den": 1}],
+        [{"num": 0, "den": 1}, {"num": 2**69 + 1, "den": 2**70}],
+    ]},
 }
 # Written by save_instance: displacements whose float sums depend on the
 # order, so the switch branches carry different displacements.
@@ -323,6 +328,7 @@ BRANCH_MISMATCH = PromiseInstance(
         (["matrix", "validate", "{dir}/nan_phase.json"], 1, "malformed_matrix"),
         (["matrix", "validate", "{dir}/inf_phase.json"], 1, "malformed_matrix"),
         (["matrix", "validate", "{dir}/p_true.json"], 1, "malformed_matrix"),
+        (["matrix", "validate", "{dir}/order_huge.json"], 1, "limit_exceeded"),
         (["matrix", "gen", "--family", "f4", "--a-turn", "0/1"], 0, None),
         (["scs", "solve", "--perms", "012, 102,120"], 0, None),
         (["scs", "sweep", "--n", "3", "--p-min", "2", "--p-max", "2"], 0, None),

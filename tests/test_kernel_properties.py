@@ -3,15 +3,17 @@
 Each kernel is checked against the straightforward formula it replaces,
 kept here as the reference: the folded displacement product against a
 ``weyl_compose`` fold, the blocked Butson scan against a scan one d at a
-time, the integer orthogonality test against Fraction arithmetic over
-the whole matrix's cyclotomic order, the vector-wise qudit switch
-against dense ordered products, the branch-row protocol against the
-explicit joint state it factors, and the exponent-grid radians against
-``float(Fraction) * TAU``, the formula of the Fraction-per-entry grid.
+time, the conjugate-gram orthogonality test against cyclotomic
+polynomial division of each row pair's Fraction turns, the vector-wise
+qudit switch against dense ordered products, the branch-row protocol
+against the explicit joint state it factors, and the exponent-grid
+radians against ``float(Fraction) * TAU``, the formula of the
+Fraction-per-entry grid.
 The JSON wire formats of gate sets and instances are checked to round
 trip.
 """
 
+import functools
 import json
 import math
 from collections import Counter
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chswitch.errors import LimitExceeded
 from chswitch.gates import (
     QuditGate,
     WeylOp,
@@ -35,7 +38,6 @@ from chswitch.matrices import (
     CHMatrix,
     NotButson,
     _exact_rows_orthogonal,
-    _zeta_sum_is_zero,
     classify_bh,
     f4_family,
     fourier,
@@ -43,6 +45,7 @@ from chswitch.matrices import (
     matrix_to_json,
     phase_twirl,
     sylvester_hadamard,
+    validate_ch,
 )
 from chswitch.phaseutil import TAU, circular_distance
 from chswitch.promise import (
@@ -84,15 +87,51 @@ def classify_one_d_at_a_time(m, d_max=4096, eps_phase=1e-9):
     return NotButson((int(j), int(k)))
 
 
+def poly_divmod(num, den):
+    """Long division of integer polynomials, coefficients lowest first;
+    ``den`` is monic, so quotient and remainder stay integral."""
+    num = list(num)
+    deg = len(den) - 1
+    quot = [0] * max(len(num) - deg, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = num[i + deg]
+        if c:
+            quot[i] = c
+            for k in range(deg + 1):
+                num[i + k] -= c * den[k]
+    return quot, num[:deg]
+
+
+@functools.lru_cache(maxsize=256)
+def cyclotomic(n):
+    """Coefficients of the n-th cyclotomic polynomial, lowest degree first."""
+    coeffs = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            coeffs, rem = poly_divmod(coeffs, cyclotomic(d))
+            assert not any(rem)
+    return tuple(coeffs)
+
+
+def zeta_sum_is_zero(multiplicities, order):
+    """Whether sum_k m_k * zeta^{e_k} vanishes for a primitive order-th root
+    of unity zeta: Z[zeta] is Z[x] modulo the order-th cyclotomic polynomial."""
+    poly = [0] * order
+    for e, c in multiplicities:
+        poly[e % order] += c
+    return not any(poly_divmod(poly, cyclotomic(order))[1])
+
+
 def rows_orthogonal_on_fractions(m):
-    order = math.lcm(*(ph.denominator for row in m.phases for ph in row))
+    """Each row pair decided by cyclotomic division, in the smallest field
+    its turn differences need: a common factor zeta^shift does not decide
+    whether the row product vanishes."""
     for j in range(m.p):
         for l in range(j + 1, m.p):
-            expo = Counter()
-            for k in range(m.p):
-                t = (m.phases[j][k] - m.phases[l][k]) % 1
-                expo[int(t * order)] += 1
-            if not _zeta_sum_is_zero(expo.items(), order):
+            shift = m.phases[j][0] - m.phases[l][0]
+            diff = [(a - b - shift) % 1 for a, b in zip(m.phases[j], m.phases[l])]
+            order = math.lcm(*(t.denominator for t in diff))
+            if not zeta_sum_is_zero(Counter(int(t * order) for t in diff).items(), order):
                 return False
     return True
 
@@ -283,6 +322,57 @@ def test_perturbed_twirl_is_not_orthogonal():
     assert _exact_rows_orthogonal(CHMatrix.from_turns(turns)) is True
     turns[2][3] += Fraction(1, 9)
     assert _exact_rows_orthogonal(CHMatrix.from_turns(turns)) is False
+
+
+def kron_fourier(*orders):
+    grid, order = [[0]], 1
+    for d in orders:
+        step = math.lcm(order, d)
+        grid = [[e * (step // order) + (j * k % d) * (step // d) for e in row for k in range(d)]
+                for row in grid for j in range(d)]
+        order = step
+    return CHMatrix(order, grid)
+
+
+@pytest.mark.parametrize(
+    "m, want",
+    [
+        # gram modulus 0.445 < 1/2; its conjugate zeta -> zeta^2 has 1.80
+        (CHMatrix.from_turns([[0, 0], [0, Fraction(3, 7)]]), False),
+        # order 1 after reduction: the a = 1 gram must still be taken
+        (CHMatrix(1, [[0, 0], [0, 0]]), False),
+        # 5th roots of unity: no order-3 complex Hadamard matrix
+        (CHMatrix(5, [[0, 0, 0], [0, 1, 2], [0, 2, 1]]), False),
+    ]
+    + [
+        (phase_twirl(kron_fourier(*orders), [Fraction(j, 11) for j in range(p)],
+                     [Fraction(k * k, 13) for k in range(p)]), True)
+        for orders, p in (((2, 3), 6), ((2, 5), 10), ((2, 2, 3), 12), ((3, 5), 15))
+    ],
+    ids=["turns_3_7", "order_1", "order_5_3x3", "kron_6", "kron_10", "kron_12", "kron_15"],
+)
+def test_conjugate_grams_match_cyclotomic_division(m, want):
+    assert rows_orthogonal_on_fractions(m) is want
+    assert _exact_rows_orthogonal(m) is want
+    assert validate_ch(m).ok is want
+
+
+@FEW
+@given(exact_hadamards(), st.data())
+def test_one_entry_perturbations_match_cyclotomic_division(m, data):
+    j, k = data.draw(st.integers(0, m.p - 1)), data.draw(st.integers(0, m.p - 1))
+    den = data.draw(st.integers(1, 12))
+    turns = [list(row) for row in m.phases]
+    turns[j][k] += Fraction(data.draw(st.integers(0, den - 1)), den)
+    perturbed = CHMatrix.from_turns(turns)
+    assert _exact_rows_orthogonal(perturbed) == rows_orthogonal_on_fractions(perturbed)
+
+
+def test_first_gram_answers_at_any_order():
+    # far from orthogonal, at an order past MAX_EXACT_ORDER: no conjugate is taken
+    assert validate_ch(CHMatrix.from_turns([[0, 0], [0, Fraction(1, 2**70)]])).ok is False
+    with pytest.raises(LimitExceeded):
+        validate_ch(CHMatrix.from_turns([[0, 0], [0, Fraction(2**69 + 1, 2**70)]]))
 
 
 @FEW
