@@ -328,7 +328,6 @@ BRANCH_MISMATCH = PromiseInstance(
         (["matrix", "validate", "{dir}/nan_phase.json"], 1, "malformed_matrix"),
         (["matrix", "validate", "{dir}/inf_phase.json"], 1, "malformed_matrix"),
         (["matrix", "validate", "{dir}/p_true.json"], 1, "malformed_matrix"),
-        (["matrix", "validate", "{dir}/order_huge.json"], 1, "limit_exceeded"),
         (["matrix", "gen", "--family", "f4", "--a-turn", "0/1"], 0, None),
         (["scs", "solve", "--perms", "012, 102,120"], 0, None),
         (["scs", "sweep", "--n", "3", "--p-min", "2", "--p-max", "2"], 0, None),
@@ -378,6 +377,8 @@ BRANCH_MISMATCH = PromiseInstance(
         (["promise", "build", "--matrix", "{dir}/p_huge.json", "--column", "0", "--target", "cv"], 1,
          "limit_exceeded"),
         (["switch", "run", "--instance", "{dir}/branch_mismatch.json"], 1, "branch_mismatch"),
+        # an exact matrix whose dephased root-of-unity order exceeds matrices.MAX_EXACT_ORDER
+        (["matrix", "validate", "{dir}/order_huge.json"], 1, "limit_exceeded"),
     ],
 )
 def test_cli_error_contract(tmp_path, capsys, argv, code, expect):
