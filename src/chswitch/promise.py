@@ -59,6 +59,7 @@ from .matrices import (
     DEFAULT_D_MAX,
     DEFAULT_EPS_PHASE,
     classify_bh,
+    f4_family,
     matrix_from_json,
     matrix_to_json,
 )
@@ -156,7 +157,10 @@ def build_cv_gates(
     Under the shift orderings the products then differ from the identity
     order by exactly the column phases. Works for every dephased complex
     Hadamard matrix, Butson or not. ``gammas`` are free parameters (one
-    per displacement gate) that do not affect the promise.
+    per displacement gate) that do not affect the promise in exact
+    arithmetic only: ordering phases sum float terms of size gamma*beta,
+    so gammas near 1e7 round them by about 1e-9, which can fail the
+    default ``verify_promise`` tolerance.
     """
     if alpha == 0.0:
         raise DomainError("alpha must be nonzero")
@@ -222,68 +226,36 @@ def build_qudit_gates(
     return tuple(gates)
 
 
-_MINIMAL_BRANCH_EPS = 1e-12
-
-
 def build_minimal_ch4(
     a: float | Fraction,
     k: int,
     alpha1: float = 1.0,
     beta1: float = 0.0,
-    alpha0: float = 1.0,
-    alpha2: float = 1.0,
-    beta0: float = 0.0,
 ) -> tuple[tuple[WeylOp, WeylOp, WeylOp], PermutationSet]:
     """Three displacement gates solving the order-4 family promise.
 
-    The four orderings are (0,1,2), (1,0,2), (1,2,0), (2,1,0) in
-    application order. Each gate is X_{alpha_i} Z_{beta_i}; the per-column
-    parameter choices below solve the promise for any a in [0, pi), with
-    the k = 3 case split at a = pi/2 where its generic denominator
-    vanishes. Keyword arguments expose the free parameters of the branch
-    in use (others are ignored); nonzero requirements are enforced.
+    Gate i is X_{alpha_i} Z_{beta_i}. Reversing gates i < j multiplies a
+    displacement product by exp(i*s_ij), s_ij = alpha_j*beta_i -
+    alpha_i*beta_j, and the orderings (0,1,2), (1,0,2), (1,2,0), (2,1,0)
+    reverse the pair 01, then also 02, then also 12. So column k with
+    phases phi_1..phi_3 needs s01 = phi_1, s02 = phi_2 - phi_1 and
+    s12 = phi_3 - phi_2, each mod 2*pi. With alpha_0 = 0 and ``alpha1``,
+    ``beta1`` free: beta_0 = s01/alpha1, alpha_2 = s02*alpha1/s01 and
+    beta_2 = (alpha_2*beta1 - s12)/alpha1. Taking s01 in [pi/2, 5*pi/2),
+    and s02, s12 as raw differences of phases in [0, 2*pi), keeps
+    |alpha_2| < 4|alpha1| and |beta_0| < 5*pi/(2|alpha1|) for every ``a``
+    (radians, or turns as a ``Fraction``, as in :func:`f4_family`).
     """
-    if isinstance(a, Fraction):
-        if not 0 <= a < Fraction(1, 2):
-            raise DomainError("parameter must lie in [0, 1/2) turns")
-        a = float(a) * 2 * math.pi
-    a = float(a)
-    if not 0.0 <= a < math.pi:
-        raise DomainError("parameter must lie in [0, pi) radians")
     if k not in (0, 1, 2, 3):
         raise DomainError(f"column {k} out of range for order 4")
-
-    pi = math.pi
-    if k == 0:
-        alphas = (0.0, 0.0, 0.0)
-        betas = (beta0, beta1, 0.0)
-    elif k == 1:
-        if alpha1 == 0.0:
-            raise DomainError("alpha1 must be nonzero for column 1")
-        a2 = (pi - 2 * a) * alpha1 / (pi + 2 * a)
-        alphas = (0.0, alpha1, a2)
-        betas = ((pi + 2 * a) / (2 * alpha1), beta1, (3 * pi + 2 * a2 * beta1 - 2 * a) / (2 * alpha1))
-    elif k == 2:
-        if alpha1 == 0.0:
-            raise DomainError("alpha1 must be nonzero for column 2")
-        b0 = pi / alpha1
-        alphas = (0.0, alpha1, -alpha1)
-        betas = (b0, beta1, -b0 - beta1)
-    elif abs(a - pi / 2) <= _MINIMAL_BRANCH_EPS:
-        if alpha0 == 0.0:
-            raise DomainError("alpha0 must be nonzero for column 3 at a = pi/2")
-        alphas = (alpha0, 0.0, alpha2)
-        betas = (beta0, 0.0, (-pi + alpha2 * beta0) / alpha0)
-    else:
-        if alpha1 == 0.0:
-            raise DomainError("alpha1 must be nonzero for column 3")
-        a2 = (-3 * pi + 2 * a) * alpha1 / (pi - 2 * a)
-        alphas = (0.0, alpha1, a2)
-        betas = ((-pi + 2 * a) / (2 * alpha1), beta1, (pi + 2 * a2 * beta1 - 2 * a) / (2 * alpha1))
-
-    gates = tuple(
-        weyl_compose(weyl_x(al), weyl_z(be, 0.0)) for al, be in zip(alphas, betas)
-    )
+    if alpha1 == 0.0:
+        raise DomainError("alpha1 must be nonzero")
+    phi = f4_family(a).radians()[:, k]
+    s01 = (phi[1] - math.pi / 2) % (2 * math.pi) + math.pi / 2
+    s02, s12 = phi[2] - phi[1], phi[3] - phi[2]
+    alpha2 = s02 * alpha1 / s01
+    params = ((0.0, s01 / alpha1), (alpha1, beta1), (alpha2, (alpha2 * beta1 - s12) / alpha1))
+    gates = tuple(weyl_compose(weyl_x(al), weyl_z(be, 0.0)) for al, be in params)
     return gates, MINIMAL_CH4_PERMS
 
 

@@ -88,7 +88,7 @@ def test_criterion_3_minimal_ch4_solutions():
             assert verify_promise(inst) == k
             out = run_protocol(m, perms, gates)
             assert out.argmax == k and out.distribution[k] >= 1 - EPS_DET
-    ok(3, "three-gate solutions verified and solved for 4 parameters x 4 columns, both k=3 branches")
+    ok(3, "three-gate solutions verified and solved for 4 parameters x 4 columns, a = pi/2 included")
 
 
 def test_criterion_4_butson_classification():

@@ -379,6 +379,8 @@ BRANCH_MISMATCH = PromiseInstance(
         (["switch", "run", "--instance", "{dir}/branch_mismatch.json"], 1, "branch_mismatch"),
         # an exact matrix whose dephased root-of-unity order exceeds matrices.MAX_EXACT_ORDER
         (["matrix", "validate", "{dir}/order_huge.json"], 1, "limit_exceeded"),
+        (["promise", "build", "--target", "minimal", "--a", "0.3", "--column", "0", "--alpha", "0"],
+         1, "domain_error"),
     ],
 )
 def test_cli_error_contract(tmp_path, capsys, argv, code, expect):

@@ -10,7 +10,7 @@ against the explicit joint state it factors, and the exponent-grid
 radians against ``float(Fraction) * TAU``, the formula of the
 Fraction-per-entry grid.
 The JSON wire formats of gate sets and instances are checked to round
-trip.
+trip, and dephasing to forget phase twirls.
 """
 
 import functools
@@ -39,6 +39,7 @@ from chswitch.matrices import (
     NotButson,
     _exact_rows_orthogonal,
     classify_bh,
+    dephase,
     f4_family,
     fourier,
     matrix_from_json,
@@ -401,18 +402,22 @@ def promise_instances(draw):
     elif family == "sylvester":
         m = sylvester_hadamard(draw(st.integers(1, 3)))
     else:
-        a = draw(st.floats(0.0, math.pi, exclude_max=True))
+        den = draw(st.integers(1, 24))
+        a = draw(st.one_of(st.floats(0.0, math.pi, exclude_max=True),
+                           st.builds(Fraction, st.integers(0, den - 1), st.just(2 * den))))
         m = f4_family(a)
     k = draw(st.integers(0, m.p - 1))
     perm_set = shift_permutations(m.p, m.p)
-    target = draw(st.sampled_from(["qudit", "cv"] if m.rep == "exact" else ["cv", "minimal"]))
+    targets = ["qudit", "cv"] if m.rep == "exact" else ["cv"]
+    target = draw(st.sampled_from(targets + ["minimal"] if family == "f4" else targets))
     if target == "qudit":
         gates = build_qudit_gates(m, k)
     elif target == "cv":
         gammas = draw(st.lists(reals, min_size=m.p - 1, max_size=m.p - 1))
         gates = build_cv_gates(m, k, alpha=draw(st.floats(0.5, 2.0)), gammas=gammas)
     else:
-        gates, perm_set = build_minimal_ch4(a, k, alpha1=draw(st.floats(0.5, 2.0)))
+        gates, perm_set = build_minimal_ch4(a, k, alpha1=draw(st.floats(0.5, 2.0)),
+                                            beta1=draw(reals))
     return PromiseInstance(m, perm_set, gates, k)
 
 
@@ -482,6 +487,20 @@ def test_instance_json_round_trip(inst):
     assert back.perm_set == inst.perm_set
     assert back.claimed_column == inst.claimed_column
     assert verify_promise(back) == verify_promise(inst) == inst.claimed_column
+
+
+@FEW
+@given(st.one_of(exact_matrices, float_matrices), st.data())
+def test_dephase_forgets_phase_twirls(m, data):
+    exact = m.rep == "exact"
+    phase = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 60)) if exact else reals
+    rows, cols = (data.draw(st.lists(phase, min_size=m.p, max_size=m.p)) for _ in range(2))
+    got, want = dephase(phase_twirl(m, rows, cols)).matrix, dephase(m).matrix
+    if exact:
+        assert got == want
+    else:
+        pairs = zip(got.radians().ravel(), want.radians().ravel())
+        assert max(circular_distance(x, y) for x, y in pairs) <= 1e-9
 
 
 @FEW

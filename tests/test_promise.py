@@ -36,6 +36,7 @@ from chswitch.promise import (
     shift_permutations,
     verify_promise,
 )
+from chswitch.switch import run_protocol
 
 A_IRRATIONAL = (2 * math.pi / math.sqrt(2)) % math.pi
 
@@ -222,13 +223,27 @@ def test_minimal_ch4_free_parameters():
             gates, perms = build_minimal_ch4(0.9, k, **kwargs)
             inst = PromiseInstance(f4_family(0.9), perms, gates)
             assert verify_promise(inst) == k
-    gates, perms = build_minimal_ch4(math.pi / 2, 3, alpha0=1.7, alpha2=-0.4, beta0=2.2)
+    gates, perms = build_minimal_ch4(math.pi / 2, 3, alpha1=1.7, beta1=2.2)
     inst = PromiseInstance(f4_family(math.pi / 2), perms, gates)
     assert verify_promise(inst) == 3
 
 
+@pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8, 1e-7, -1e-7])
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("alpha1, beta1", [(1.0, 0.7), (-0.3, 1.9)])
+def test_minimal_ch4_near_split(delta, k, alpha1, beta1):
+    # next to a = pi/2 the promise holds and the gate parameters stay bounded
+    a = math.pi / 2 + delta
+    m = f4_family(a)
+    gates, perms = build_minimal_ch4(a, k, alpha1=alpha1, beta1=beta1)
+    assert verify_promise(PromiseInstance(m, perms, gates)) == k
+    out = run_protocol(m, perms, gates)
+    assert out.argmax == k and out.deterministic
+    assert max(max(abs(g.beta), abs(g.gamma)) for g in gates) <= 30
+
+
 def test_minimal_ch4_column0_products_all_equal():
-    gates, perms = build_minimal_ch4(1.1, 0, beta1=0.5, beta0=-0.3)
+    gates, perms = build_minimal_ch4(1.1, 0, beta1=0.5)
     pis = [product_in_order(gates, pm) for pm in perms.perms]
     assert all(phase_ratio(pi, pis[0]) == pytest.approx(0.0) for pi in pis)
 
@@ -245,7 +260,7 @@ def test_minimal_ch4_domain():
     with pytest.raises(DomainError):
         build_minimal_ch4(0.3, 1, alpha1=0.0)
     with pytest.raises(DomainError):
-        build_minimal_ch4(math.pi / 2, 3, alpha0=0.0)
+        build_minimal_ch4(0.3, 0, alpha1=0.0)
 
 
 # --- verification ---------------------------------------------------------------
