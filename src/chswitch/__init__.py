@@ -29,7 +29,6 @@ from .gates import (
     QuditGate,
     WeylOp,
     pauli_x,
-    pauli_z,
     pauli_z_power,
     phase_ratio,
     product_in_order,

@@ -248,8 +248,6 @@ def cmd_switch_run(args) -> int:
         "argmax": outcome.argmax,
         "deterministic": outcome.deterministic,
     }
-    if args.sample is not None:
-        payload["sample"] = switch.sample_outcome(outcome, args.sample)
     _emit(payload, args)
     return 0
 
@@ -400,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     psi = run_p.add_mutually_exclusive_group()
     psi.add_argument("--psi", help="JSON target state ([re, im] pairs), qudit only")
     psi.add_argument("--random-psi", type=int, help="seed for a random target state")
-    run_p.add_argument("--sample", type=int, help="also draw one measurement with this seed")
     _add_options(run_p, "--eps-det")
     run_p.set_defaults(func=cmd_switch_run)
     sweep_p = sw.add_parser("sweep")

@@ -76,10 +76,6 @@ class QuditGate:
         object.__setattr__(self, "matrix", m)
 
 
-def qudit_identity(dim: int) -> QuditGate:
-    return QuditGate(dim, np.eye(dim, dtype=complex))
-
-
 def pauli_x(dim: int) -> QuditGate:
     """Shift gate X|j> = |j+1 mod D>."""
     if dim < 2:
@@ -90,12 +86,8 @@ def pauli_x(dim: int) -> QuditGate:
     return QuditGate(dim, m)
 
 
-def pauli_z(dim: int) -> QuditGate:
-    """Clock gate Z|j> = omega^j |j> with omega = exp(2*pi*i/D)."""
-    return pauli_z_power(dim, 1)
-
-
 def pauli_z_power(dim: int, q: int) -> QuditGate:
+    """Clock gate to the power q: Z^q|j> = omega^(q*j) |j> with omega = exp(2*pi*i/D)."""
     if dim < 2:
         raise DomainError("generalized Pauli gates need dimension >= 2")
     phases = np.exp(2j * np.pi * (q % dim) * np.arange(dim) / dim)
@@ -179,14 +171,6 @@ def phase_ratio(a: Gate, b: Gate, eps: float = 1e-9) -> float | None:
             return None
         return normalize_radians(float(np.angle(c)))
     raise KindMismatch("phase_ratio needs two gates of the same kind")
-
-
-def conjugate(g: QuditGate, v: QuditGate) -> QuditGate:
-    if not isinstance(g, QuditGate) or not isinstance(v, QuditGate):
-        raise KindMismatch("conjugation is defined for qudit gates")
-    if g.dim != v.dim:
-        raise DimensionMismatch(f"gate dimension {g.dim} != conjugator dimension {v.dim}")
-    return QuditGate(g.dim, v.matrix @ g.matrix @ v.matrix.conj().T)
 
 
 # --- JSON wire format ------------------------------------------------------

@@ -11,9 +11,11 @@ encodings are supported:
 * float: ``order`` is ``None`` and the grid holds radians in [0, 2*pi).
 
 Turns (:class:`fractions.Fraction`) appear only at the edge: in
-:meth:`CHMatrix.from_turns`, the ``phases`` view, the JSON format and the
-phases :func:`phase_twirl` takes. Exact orthogonality is decided on the
-float grams of the grid's Galois conjugates (see :func:`validate_ch`).
+:meth:`CHMatrix.from_turns`, the ``phases`` view, the JSON format, the
+phases :func:`phase_twirl` takes and the factors :func:`dephase` reports;
+:func:`dephase` itself shifts the grid in its own units. Exact
+orthogonality is decided on the float grams of the dephased grid's
+Galois conjugates (see :func:`validate_ch`).
 """
 
 from __future__ import annotations
@@ -175,14 +177,12 @@ def _max_off_diagonal(u: np.ndarray) -> float:
 def _exact_rows_orthogonal(m: CHMatrix) -> bool:
     """The conjugate-gram test of :func:`validate_ch` on the dephased grid;
     dephasing keeps every modulus and lowers n to what the rows need."""
-    top = m.grid[0]
-    grid = [[e - row[0] - top[k] + top[0] for k, e in enumerate(row)] for row in m.grid]
-    step = math.gcd(m.order, *(e for row in grid for e in row))
-    n = m.order // step
+    d = dephase(m).matrix
+    n = d.order
     if n > MAX_EXACT_ORDER:
         raise LimitExceeded(f"dephased root-of-unity order {n} exceeds the limit of {MAX_EXACT_ORDER}",
                             order=n, max_order=MAX_EXACT_ORDER)
-    expo = np.array([[(e // step) % n for e in row] for row in grid], dtype=np.int64)
+    expo = np.array(d.grid, dtype=np.int64)
     # max(1, ...): an all-zero grid has n = 1 and still needs its a = 1 gram
     units = (a for a in range(1, max(1, n // 2) + 1) if math.gcd(a, n) == 1)
     return all(_max_off_diagonal(np.exp(1j * TAU / n * (a * expo % n))) < 0.5 for a in units)
@@ -231,20 +231,13 @@ class DephaseResult:
     col_factors: tuple[PhaseEntry, ...]
 
 
-def _phase_unit(m: CHMatrix):
-    """(cast, reduce, build) for the ``phases`` of ``m``: Fraction turns or radians."""
-    if m.order is None:
-        return float, normalize_radians, CHMatrix.from_radians
-    return Fraction, lambda t: t % 1, CHMatrix.from_turns
-
-
 def phase_twirl(m: CHMatrix, row_phases: Sequence, col_phases: Sequence) -> CHMatrix:
     """Multiply row j by exp(i*row_phases[j]) and column k by
     exp(i*col_phases[k]). Phases are turns for exact matrices, radians
     otherwise."""
     if len(row_phases) != m.p or len(col_phases) != m.p:
         raise SizeMismatch(f"need {m.p} row and column phases")
-    cast, _, build = _phase_unit(m)
+    cast, build = (float, CHMatrix.from_radians) if m.order is None else (Fraction, CHMatrix.from_turns)
     rows = [cast(r) for r in row_phases]
     cols = [cast(c) for c in col_phases]
     return build(
@@ -257,18 +250,24 @@ def dephase(m: CHMatrix) -> DephaseResult:
 
     Row phases are cleared first (subtract each row's column-0 phase),
     then column phases (subtract the resulting row-0 phase), which fixes a
-    canonical output among the diagonally equivalent choices.
+    canonical output among the diagonally equivalent choices. The grid is
+    shifted in its own units, integer exponents or radians; an exact
+    matrix that is already dephased comes back as it is.
     """
-    _, norm, _ = _phase_unit(m)
-    phases = m.phases
-    row_factors = tuple(-row[0] for row in phases)
-    col_factors = tuple(-(ph - phases[0][0]) for ph in phases[0])
-    # + 0 reports a float factor of -0.0 as 0.0
-    return DephaseResult(
-        matrix=phase_twirl(m, row_factors, col_factors),
-        row_factors=tuple(norm(r + 0) for r in row_factors),
-        col_factors=tuple(norm(c + 0) for c in col_factors),
-    )
+    grid, top = m.grid, m.grid[0]
+    rows = [-row[0] for row in grid]
+    cols = [-(t - top[0]) for t in top]
+    if m.order is not None and not any(rows + cols):
+        matrix = m
+    else:
+        shifted = [[e + rows[j] + cols[k] for k, e in enumerate(row)] for j, row in enumerate(grid)]
+        matrix = CHMatrix.from_radians(shifted) if m.order is None else CHMatrix(m.order, shifted)
+    if m.order is None:
+        # + 0 reports a float factor of -0.0 as 0.0
+        def factor(x): return normalize_radians(x + 0)
+    else:
+        def factor(x): return Fraction(x % m.order, m.order)
+    return DephaseResult(matrix, tuple(map(factor, rows)), tuple(map(factor, cols)))
 
 
 def classify_bh(

@@ -27,6 +27,7 @@ from typing import Sequence
 
 from .errors import (
     AmbiguousColumn,
+    DimensionMismatch,
     DomainError,
     IncompatibleDimension,
     KindMismatch,
@@ -41,7 +42,6 @@ from .gates import (
     QuditGate,
     WeylOp,
     check_permutation,
-    conjugate,
     gate_kind,
     gateset_from_json,
     gateset_to_json,
@@ -310,9 +310,11 @@ def verify_promise(inst: PromiseInstance, eps: float = DEFAULT_EPS_PHASE) -> int
 
 def conjugate_gates(gates: Sequence[Gate], v: QuditGate) -> tuple[QuditGate, ...]:
     """Replace every gate U by V U V^dagger; the promise column is unchanged."""
-    if gate_kind(gates) != "qudit":
-        raise KindMismatch("conjugation is defined for qudit gate sets")
-    return tuple(conjugate(g, v) for g in gates)
+    if gate_kind(gates) != "qudit" or not isinstance(v, QuditGate):
+        raise KindMismatch("conjugation is defined for qudit gates")
+    if gates[0].dim != v.dim:
+        raise DimensionMismatch(f"gate dimension {gates[0].dim} != conjugator dimension {v.dim}")
+    return tuple(QuditGate(v.dim, v.matrix @ g.matrix @ v.matrix.conj().T) for g in gates)
 
 
 # --- JSON wire format ------------------------------------------------------

@@ -403,8 +403,7 @@ class CensusRow:
     """Aggregate SCS statistics over combinations of p orderings of n gates.
 
     Sums are exact integers so ``avg_len`` is an exact rational;
-    queries-per-gate (qpg) values are lengths divided by n. ``avg_se`` is
-    the standard error of the sampled mean, None in exhaustive mode.
+    queries-per-gate (qpg) values are lengths divided by n.
     """
 
     n: int
@@ -414,8 +413,6 @@ class CensusRow:
     min_len: int
     max_len: int
     sum_len: int
-    sum_sq_len: int
-    avg_se: float | None = None
 
     @property
     def avg_len(self) -> Fraction:
@@ -455,20 +452,13 @@ def _aggregate(n: int, p: int, combos, mode: str) -> CensusRow:
     count = 0
     mn, mx = None, 0
     total = 0
-    total_sq = 0
     for combo in combos:
         length = scs_exact(combo).length
         count += 1
         mn = length if mn is None else min(mn, length)
         mx = max(mx, length)
         total += length
-        total_sq += length * length
-    se = None
-    if mode == "sample" and count > 1:
-        mean = total / count
-        var = max(total_sq / count - mean * mean, 0.0)
-        se = math.sqrt(var / count)
-    return CensusRow(n, p, count, mode, mn, mx, total, total_sq, se)
+    return CensusRow(n, p, count, mode, mn, mx, total)
 
 
 def census(
@@ -487,6 +477,9 @@ def census(
     """
     if n < 2:
         raise DomainError("census needs at least 2 gates")
+    if n > DEFAULT_N_MAX:
+        raise LimitExceeded(f"orderings over {n} symbols exceed n_max={DEFAULT_N_MAX}",
+                            n=n, n_max=DEFAULT_N_MAX)
     if not 2 <= p <= math.factorial(n):
         raise DomainError(f"p must lie in [2, {math.factorial(n)}] for n={n}")
     if sample is None:
@@ -518,10 +511,9 @@ def census_sweep(
     """
     rows = []
     for p in p_values:
-        required = math.comb(math.factorial(n) - 1, p - 1)
-        if budget is None or required <= budget:
-            rows.append(census(n, p, budget=None))
-        else:
+        try:
+            rows.append(census(n, p, budget=budget))
+        except BudgetExceeded:
             rows.append(census(n, p, sample=sample_count, seed=seed + p))
     return rows
 

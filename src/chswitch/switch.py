@@ -131,12 +131,6 @@ def run_protocol(
     return _outcome(np.linalg.norm(final, axis=1), eps_det)
 
 
-def sample_outcome(outcome: SwitchOutcome, seed: int) -> int:
-    """Draw one measurement result from the distribution (demonstration only)."""
-    rng = np.random.default_rng(seed)
-    return int(rng.choice(len(outcome.distribution), p=np.array(outcome.distribution)))
-
-
 def sweep_columns(
     m: CHMatrix,
     target: str,

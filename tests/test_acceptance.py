@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from chswitch.gates import pauli_x, pauli_z, phase_ratio, product_in_order, qudit_identity
+from chswitch.gates import QuditGate, pauli_x, pauli_z_power, phase_ratio, product_in_order
 from chswitch.matrices import Butson, NotButson, classify_bh, f4_family, fourier, sylvester_hadamard
 from chswitch.phaseutil import circular_distance
 from chswitch.promise import (
@@ -44,9 +44,9 @@ def ok(n, text):
 def test_criterion_1_commute_anticommute_base_case():
     m = fourier(2)
     ps = shift_permutations(2, 2)
-    out = run_protocol(m, ps, (pauli_x(2), pauli_z(2)))
+    out = run_protocol(m, ps, (pauli_x(2), pauli_z_power(2, 1)))
     assert out.argmax == 1 and out.distribution[1] >= 1 - EPS_DET
-    out0 = run_protocol(m, ps, (pauli_x(2), qudit_identity(2)))
+    out0 = run_protocol(m, ps, (pauli_x(2), QuditGate(2, np.eye(2))))
     assert out0.argmax == 0 and out0.distribution[0] >= 1 - EPS_DET
     ok(1, "{X,Z} -> column 1, {X,I} -> column 0, probability >= 1 - 1e-9")
 
@@ -206,7 +206,7 @@ def test_criterion_10_algebra_identities():
     for dim in range(2, 6):
         omega = np.exp(2j * np.pi / dim)
         x = pauli_x(dim).matrix
-        z = pauli_z(dim).matrix
+        z = pauli_z_power(dim, 1).matrix
         for j in range(dim):
             for k in range(dim):
                 lhs = np.linalg.matrix_power(z, j) @ np.linalg.matrix_power(x, k)

@@ -92,11 +92,10 @@ def test_promise_build_cv_and_run_with_sample(tmp_path, capsys):
         capsys, "promise", "build", "--matrix", str(mat), "--column", "1",
         "--target", "cv", "--alpha", "0.5", "--out", str(inst),
     )
-    code, out, _ = run_cli(capsys, "switch", "run", "--instance", str(inst), "--sample", "7")
+    code, out, _ = run_cli(capsys, "switch", "run", "--instance", str(inst))
     assert code == 0
     payload = json.loads(out)
     assert payload["argmax"] == 1
-    assert payload["sample"] == 1
 
 
 def test_promise_build_minimal(tmp_path, capsys):
@@ -381,6 +380,10 @@ BRANCH_MISMATCH = PromiseInstance(
         (["matrix", "validate", "{dir}/order_huge.json"], 1, "limit_exceeded"),
         (["promise", "build", "--target", "minimal", "--a", "0.3", "--column", "0", "--alpha", "0"],
          1, "domain_error"),
+        # a census over more than scs.DEFAULT_N_MAX gates is refused before n! is built
+        (["scs", "census", "--n", "2000", "--p", "2"], 1, "limit_exceeded"),
+        (["scs", "census", "--n", "12", "--p", "2", "--sample", "1"], 1, "limit_exceeded"),
+        (["switch", "run", "--instance", "{dir}/bad_gate.json", "--sample", "7"], 2, "--sample"),
     ],
 )
 def test_cli_error_contract(tmp_path, capsys, argv, code, expect):

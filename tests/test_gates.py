@@ -13,11 +13,9 @@ from chswitch.gates import (
     gateset_from_json,
     gateset_to_json,
     pauli_x,
-    pauli_z,
     pauli_z_power,
     phase_ratio,
     product_in_order,
-    qudit_identity,
     weyl_compose,
     weyl_x,
     weyl_z,
@@ -68,14 +66,14 @@ def test_weyl_associativity():
 
 def test_pauli_qubit_matches_sigma():
     assert np.allclose(pauli_x(2).matrix, [[0, 1], [1, 0]])
-    assert np.allclose(pauli_z(2).matrix, [[1, 0], [0, -1]])
+    assert np.allclose(pauli_z_power(2, 1).matrix, [[1, 0], [0, -1]])
 
 
 @pytest.mark.parametrize("dim", range(2, 8))
 def test_clock_shift_commutation(dim):
     omega = np.exp(2j * np.pi / dim)
-    zx = pauli_z(dim).matrix @ pauli_x(dim).matrix
-    xz = pauli_x(dim).matrix @ pauli_z(dim).matrix
+    zx = pauli_z_power(dim, 1).matrix @ pauli_x(dim).matrix
+    xz = pauli_x(dim).matrix @ pauli_z_power(dim, 1).matrix
     assert np.max(np.abs(zx - omega * xz)) < 1e-12
 
 
@@ -83,7 +81,7 @@ def test_clock_shift_commutation(dim):
 def test_clock_shift_power_commutation(dim):
     omega = np.exp(2j * np.pi / dim)
     x = pauli_x(dim).matrix
-    z = pauli_z(dim).matrix
+    z = pauli_z_power(dim, 1).matrix
     for j in range(dim):
         for k in range(dim):
             lhs = np.linalg.matrix_power(z, j) @ np.linalg.matrix_power(x, k)
@@ -94,7 +92,7 @@ def test_clock_shift_power_commutation(dim):
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_pauli_order(dim):
     x = np.linalg.matrix_power(pauli_x(dim).matrix, dim)
-    z = np.linalg.matrix_power(pauli_z(dim).matrix, dim)
+    z = np.linalg.matrix_power(pauli_z_power(dim, 1).matrix, dim)
     assert np.max(np.abs(x - np.eye(dim))) < 1e-9
     assert np.max(np.abs(z - np.eye(dim))) < 1e-9
 
@@ -114,13 +112,13 @@ def test_pauli_rejects_small_dim():
 
 
 def test_product_identity_order():
-    gates = (pauli_x(2), pauli_z(2))
+    gates = (pauli_x(2), pauli_z_power(2, 1))
     prod = product_in_order(gates, (0, 1))
-    assert np.allclose(prod.matrix, pauli_z(2).matrix @ pauli_x(2).matrix)
+    assert np.allclose(prod.matrix, pauli_z_power(2, 1).matrix @ pauli_x(2).matrix)
 
 
 def test_product_swapped_order_anticommutes():
-    gates = (pauli_x(2), pauli_z(2))
+    gates = (pauli_x(2), pauli_z_power(2, 1))
     fwd = product_in_order(gates, (0, 1))
     rev = product_in_order(gates, (1, 0))
     assert np.allclose(rev.matrix, -fwd.matrix)
@@ -144,7 +142,7 @@ def test_product_rejects_mixed_kinds():
 
 def test_product_rejects_bad_perm():
     with pytest.raises(DomainError):
-        product_in_order((pauli_x(2), pauli_z(2)), (0, 0))
+        product_in_order((pauli_x(2), pauli_z_power(2, 1)), (0, 0))
 
 
 def test_phase_ratio_reflexive():
@@ -188,4 +186,6 @@ def test_gateset_json_roundtrip():
 
 
 def test_qudit_identity():
-    assert np.allclose(qudit_identity(4).matrix, np.eye(4))
+    ident = QuditGate(4, np.eye(4))
+    assert ident.matrix.dtype == complex and not ident.matrix.flags.writeable
+    assert np.array_equal(ident.matrix, np.eye(4))

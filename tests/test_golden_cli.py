@@ -80,7 +80,7 @@ CASES = {
     "run_qudit_sylvester2_psi": ["switch", "run", "--instance", "{dir}/qudit_sylvester2.json",
                                  "--random-psi", "42"],
     "run_cv_fourier6": ["switch", "run", "--instance", "{dir}/cv_fourier6.json"],
-    "run_cv_f4": ["switch", "run", "--instance", "{dir}/cv_f4.json", "--sample", "7"],
+    "run_cv_f4": ["switch", "run", "--instance", "{dir}/cv_f4.json"],
     # each kept tolerance flag is read, and each default is where it was
     "validate_f4_float_eps": ["matrix", "validate", "{dir}/f4_float.json", "--eps-unitary", "1e-12"],
     "validate_f4_float_eps_tiny": ["matrix", "validate", "{dir}/f4_float.json", "--eps-unitary", "1e-20"],
@@ -115,6 +115,10 @@ CASES = {
     "validate_twirled_fourier9": ["matrix", "validate", "{dir}/twirled_fourier9.json"],
     "validate_fourier64": ["matrix", "validate", "{dir}/fourier64.json"],
     "validate_f4_turn24": ["matrix", "validate", "{dir}/f4_turn24.json"],
+    # dephasing an exact matrix: a twirl of lcm order 360,360 back to order 9,
+    # and a matrix already in dephased form
+    "dephase_twirled_fourier9": ["matrix", "dephase", "{dir}/twirled_fourier9.json"],
+    "dephase_fourier6": ["matrix", "dephase", "{dir}/fourier6.json"],
 }
 
 

@@ -8,7 +8,9 @@ polynomial division of each row pair's Fraction turns, the vector-wise
 qudit switch against dense ordered products, the branch-row protocol
 against the explicit joint state it factors, and the exponent-grid
 radians against ``float(Fraction) * TAU``, the formula of the
-Fraction-per-entry grid.
+Fraction-per-entry grid, and the dephase that shifts the grid in its own
+units against factors read from the ``phases`` view and applied by
+``phase_twirl``.
 The JSON wire formats of gate sets and instances are checked to round
 trip, and dephasing to forget phase twirls.
 """
@@ -48,7 +50,7 @@ from chswitch.matrices import (
     sylvester_hadamard,
     validate_ch,
 )
-from chswitch.phaseutil import TAU, circular_distance
+from chswitch.phaseutil import TAU, circular_distance, normalize_radians
 from chswitch.promise import (
     PromiseInstance,
     build_cv_gates,
@@ -135,6 +137,15 @@ def rows_orthogonal_on_fractions(m):
             if not zeta_sum_is_zero(Counter(int(t * order) for t in diff).items(), order):
                 return False
     return True
+
+
+def dephase_by_phase_twirl(m):
+    """Dephased matrix and factors: turns or radians from ``phases``, applied by phase_twirl."""
+    phases = m.phases
+    rows = [-row[0] for row in phases]
+    cols = [-(ph - phases[0][0]) for ph in phases[0]]
+    norm = normalize_radians if m.order is None else (lambda t: t % 1)
+    return phase_twirl(m, rows, cols), [norm(r + 0) for r in rows], [norm(c + 0) for c in cols]
 
 
 def radians_from_fractions(m):
@@ -501,6 +512,25 @@ def test_dephase_forgets_phase_twirls(m, data):
     else:
         pairs = zip(got.radians().ravel(), want.radians().ravel())
         assert max(circular_distance(x, y) for x, y in pairs) <= 1e-9
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.booleans(), st.data())
+def test_dephase_matches_phase_twirl_route(exact, data):
+    m = data.draw(exact_matrices if exact else float_matrices)
+    phase = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 60)) if exact else reals
+    # a twirl of m or of its dephased form, with zero phases on none, one or
+    # all rows or columns, so that row 0, column 0, both or neither stay zero
+    if data.draw(st.booleans()):
+        m = dephase_by_phase_twirl(m)[0]
+    phases = st.lists(phase, min_size=m.p, max_size=m.p)
+    twirl = st.one_of(st.just([0] * m.p), phases.map(lambda v: [0] + v[1:]), phases)
+    m = phase_twirl(m, data.draw(twirl), data.draw(twirl))
+    got = dephase(m)
+    want, row_factors, col_factors = dephase_by_phase_twirl(m)
+    assert got.matrix == want and got.matrix.radians().tobytes() == want.radians().tobytes()
+    assert list(got.row_factors) == row_factors and list(got.col_factors) == col_factors
+    assert got.matrix.is_dephased()
 
 
 @FEW

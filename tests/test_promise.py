@@ -8,18 +8,20 @@ import pytest
 
 from chswitch.errors import (
     AmbiguousColumn,
+    DimensionMismatch,
     DomainError,
     IncompatibleDimension,
+    KindMismatch,
     NotButsonError,
     PromiseViolation,
 )
 from chswitch.gates import (
     QuditGate,
     pauli_x,
-    pauli_z,
+    pauli_z_power,
     phase_ratio,
     product_in_order,
-    qudit_identity,
+    weyl_x,
 )
 from chswitch.matrices import f4_family, fourier, sylvester_hadamard
 from chswitch.phaseutil import circular_distance
@@ -127,7 +129,7 @@ def test_cv_rejects_zero_alpha():
 def test_qudit_fourier2_is_x_z():
     gates = build_qudit_gates(fourier(2), 1)
     assert np.allclose(gates[0].matrix, pauli_x(2).matrix)
-    assert np.allclose(gates[1].matrix, pauli_z(2).matrix)
+    assert np.allclose(gates[1].matrix, pauli_z_power(2, 1).matrix)
     pis = [product_in_order(gates, pm) for pm in shift_permutations(2, 2).perms]
     assert np.allclose(pis[1].matrix, -pis[0].matrix)
 
@@ -284,22 +286,28 @@ def test_verify_reports_violation():
 
 def test_verify_ambiguous_with_coarse_eps():
     m = fourier(2)
-    inst = PromiseInstance(m, shift_permutations(2, 2), (pauli_x(2), pauli_z(2)))
+    inst = PromiseInstance(m, shift_permutations(2, 2), (pauli_x(2), pauli_z_power(2, 1)))
     with pytest.raises(AmbiguousColumn):
         verify_promise(inst, eps=10.0)
 
 
 def test_conjugation_identity_and_hadamard():
-    gates = (pauli_x(2), pauli_z(2))
+    gates = (pauli_x(2), pauli_z_power(2, 1))
     assert verify_promise(
-        PromiseInstance(fourier(2), shift_permutations(2, 2), conjugate_gates(gates, qudit_identity(2)))
+        PromiseInstance(fourier(2), shift_permutations(2, 2), conjugate_gates(gates, QuditGate(2, np.eye(2))))
     ) == 1
     h = QuditGate(2, np.array([[1, 1], [1, -1]]) / math.sqrt(2))
     swapped = conjugate_gates(gates, h)
-    assert np.allclose(swapped[0].matrix, pauli_z(2).matrix)
+    assert np.allclose(swapped[0].matrix, pauli_z_power(2, 1).matrix)
     assert np.allclose(swapped[1].matrix, pauli_x(2).matrix)
     inst = PromiseInstance(fourier(2), shift_permutations(2, 2), swapped)
     assert verify_promise(inst) == 1
+    with pytest.raises(KindMismatch):
+        conjugate_gates((weyl_x(1.0),), h)
+    with pytest.raises(KindMismatch):
+        conjugate_gates(gates, weyl_x(1.0))
+    with pytest.raises(DimensionMismatch):
+        conjugate_gates(gates, QuditGate(3, np.eye(3)))
 
 
 def test_conjugation_invariance_random():
@@ -323,7 +331,7 @@ def test_instance_rejects_undephased_matrix():
 
     twirled = phase_twirl(fourier(2), [0.0, 0.3], [0.0, 0.0])
     with pytest.raises(NotDephased):
-        PromiseInstance(twirled, shift_permutations(2, 2), (pauli_x(2), pauli_z(2)))
+        PromiseInstance(twirled, shift_permutations(2, 2), (pauli_x(2), pauli_z_power(2, 1)))
 
 
 def test_instance_json_roundtrip():

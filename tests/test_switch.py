@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chswitch.errors import BranchMismatch, DomainError, NotDephased, ProtocolError, SizeMismatch
-from chswitch.gates import QuditGate, WeylOp, pauli_x, pauli_z, product_in_order, qudit_identity
+from chswitch.gates import QuditGate, WeylOp, pauli_x, pauli_z_power, product_in_order
 from chswitch.matrices import f4_family, fourier, phase_twirl, sylvester_hadamard
 from chswitch.promise import (
     PromiseInstance,
@@ -16,7 +16,7 @@ from chswitch.promise import (
     shift_permutations,
     verify_promise,
 )
-from chswitch.switch import apply_switch, run_protocol, sample_outcome, sweep_columns
+from chswitch.switch import apply_switch, run_protocol, sweep_columns
 
 
 def random_unitary(dim, rng):
@@ -26,10 +26,10 @@ def random_unitary(dim, rng):
 
 
 def test_switch_on_basis_control_applies_one_order():
-    gates = (pauli_x(2), pauli_z(2))
+    gates = (pauli_x(2), pauli_z_power(2, 1))
     ps = shift_permutations(2, 2)
     rows = apply_switch(gates, ps, [1.0, 0.0])
-    x, z = pauli_x(2).matrix, pauli_z(2).matrix
+    x, z = pauli_x(2).matrix, pauli_z_power(2, 1).matrix
     # row j is ordering j on the target: Z X |0> and X Z |0>
     assert rows.shape == (2, 2)
     assert np.allclose(rows[0], z @ x @ [1, 0])
@@ -41,7 +41,7 @@ def test_switch_on_basis_control_applies_one_order():
 
 
 def test_switch_uniform_control_branches_anticommute():
-    gates = (pauli_x(2), pauli_z(2))
+    gates = (pauli_x(2), pauli_z_power(2, 1))
     ps = shift_permutations(2, 2)
     out = np.full((2, 1), 1 / math.sqrt(2)) * apply_switch(gates, ps, [1.0, 0.0])
     assert np.allclose(out[1], -out[0])
@@ -63,7 +63,7 @@ def test_switch_cv_branches_share_displacement():
 
 
 def test_switch_size_mismatch():
-    gates = (pauli_x(2), pauli_z(2))
+    gates = (pauli_x(2), pauli_z_power(2, 1))
     with pytest.raises(SizeMismatch):
         run_protocol(fourier(3), shift_permutations(2, 2), gates)
     with pytest.raises(SizeMismatch):
@@ -75,20 +75,20 @@ def test_switch_size_mismatch():
 def test_switch_target_state_checks():
     ps = shift_permutations(2, 2)
     with pytest.raises(DomainError):
-        apply_switch((pauli_x(2), pauli_z(2)), ps, [1.0, 1.0])
+        apply_switch((pauli_x(2), pauli_z_power(2, 1)), ps, [1.0, 1.0])
     with pytest.raises(DomainError):
         run_protocol(fourier(2), ps, build_cv_gates(fourier(2), 1), psi=[1.0])
 
 
 def test_protocol_anticommuting_pair():
-    out = run_protocol(fourier(2), shift_permutations(2, 2), (pauli_x(2), pauli_z(2)))
+    out = run_protocol(fourier(2), shift_permutations(2, 2), (pauli_x(2), pauli_z_power(2, 1)))
     assert out.argmax == 1
     assert out.distribution[1] >= 1 - 1e-9
     assert out.deterministic
 
 
 def test_protocol_commuting_pair():
-    out = run_protocol(fourier(2), shift_permutations(2, 2), (pauli_x(2), qudit_identity(2)))
+    out = run_protocol(fourier(2), shift_permutations(2, 2), (pauli_x(2), QuditGate(2, np.eye(2))))
     assert out.argmax == 0
     assert out.distribution[0] >= 1 - 1e-9
 
@@ -103,7 +103,7 @@ def test_protocol_cv_minimal_gate_set():
 def test_protocol_requires_dephased_matrix():
     twirled = phase_twirl(fourier(2), [0.0, 0.5], [0.0, 0.0])
     with pytest.raises(NotDephased):
-        run_protocol(twirled, shift_permutations(2, 2), (pauli_x(2), pauli_z(2)))
+        run_protocol(twirled, shift_permutations(2, 2), (pauli_x(2), pauli_z_power(2, 1)))
 
 
 def test_protocol_norm_preserved_stage_by_stage():
@@ -184,7 +184,7 @@ def test_protocol_rejects_mismatched_branches():
 
 def test_protocol_identity_gates_point_to_column_zero():
     m = fourier(4)
-    gates = tuple(qudit_identity(2) for _ in range(4))
+    gates = tuple(QuditGate(2, np.eye(2)) for _ in range(4))
     out = run_protocol(m, shift_permutations(4, 4), gates)
     assert out.argmax == 0
     assert out.distribution[0] >= 1 - 1e-9
@@ -224,8 +224,3 @@ def test_sweep_columns_raises_on_failure(monkeypatch):
     with pytest.raises(ProtocolError):
         sw.sweep_columns(fourier(2), "qudit")
 
-
-def test_sample_outcome_deterministic_given_seed():
-    out = run_protocol(fourier(2), shift_permutations(2, 2), (pauli_x(2), pauli_z(2)))
-    assert sample_outcome(out, seed=0) == 1
-    assert sample_outcome(out, seed=123) == 1
