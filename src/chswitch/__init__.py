@@ -44,8 +44,6 @@ from .matrices import (
     dephase,
     f4_family,
     fourier,
-    matrix_from_json,
-    matrix_to_json,
     min_target_dimension,
     phase_twirl,
     sylvester_hadamard,
@@ -77,5 +75,6 @@ from .switch import (
     run_protocol,
     sweep_columns,
 )
+from .wire import matrix_from_json, matrix_to_json
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import matrices, promise, scs, switch
-from .errors import ChswitchError, DomainError
+from . import matrices, promise, scs, switch, wire
+from .errors import ChswitchError, DomainError, MalformedInstance, MalformedMatrix
 from .gates import QuditGate
 from .matrices import Butson, CHMatrix
 
@@ -128,6 +128,10 @@ def _parse_a(args) -> float | Fraction:
     return args.a
 
 
+def _read_matrix(path) -> CHMatrix:
+    return wire.matrix_from_json(wire.load(path, MalformedMatrix))
+
+
 def _build_matrix(args) -> CHMatrix:
     if args.family == "f4":
         return matrices.f4_family(_parse_a(args))
@@ -145,21 +149,21 @@ def _build_matrix(args) -> CHMatrix:
 def cmd_matrix_gen(args) -> int:
     m = _build_matrix(args)
     if args.out:
-        matrices.save_matrix(m, args.out)
+        wire.save(wire.matrix_to_json(m), args.out)
         _emit({"written": args.out, "p": m.p, "rep": m.rep}, args)
     else:
-        _emit(matrices.matrix_to_json(m), args)
+        _emit(wire.matrix_to_json(m), args)
     return 0
 
 
 def cmd_matrix_validate(args) -> int:
-    report = matrices.validate_ch(matrices.load_matrix(args.matrix), args.eps_unitary)
+    report = matrices.validate_ch(_read_matrix(args.matrix), args.eps_unitary)
     _emit({"ok": report.ok, "max_row_pair_deviation": round(report.max_row_pair_deviation, 15)}, args)
     return 0
 
 
 def cmd_matrix_classify(args) -> int:
-    cls = matrices.classify_bh(matrices.load_matrix(args.matrix), args.d_max, args.eps_phase)
+    cls = matrices.classify_bh(_read_matrix(args.matrix), args.d_max, args.eps_phase)
     if isinstance(cls, Butson):
         _emit({"butson": cls.complexity}, args)
     else:
@@ -168,23 +172,21 @@ def cmd_matrix_classify(args) -> int:
 
 
 def cmd_matrix_dephase(args) -> int:
-    result = matrices.dephase(matrices.load_matrix(args.matrix))
+    result = matrices.dephase(_read_matrix(args.matrix))
+    matrix = wire.matrix_to_json(result.matrix)
+    payload = {"row_factors": [wire.phase_to_json(x) for x in result.row_factors],
+               "col_factors": [wire.phase_to_json(x) for x in result.col_factors]}
     if args.out:
-        matrices.save_matrix(result.matrix, args.out)
-    payload = {
-        "matrix": matrices.matrix_to_json(result.matrix),
-        "row_factors": [matrices.phase_to_json(x) for x in result.row_factors],
-        "col_factors": [matrices.phase_to_json(x) for x in result.col_factors],
-    }
-    if args.out:
+        wire.save(matrix, args.out)
         payload["written"] = args.out
-        del payload["matrix"]
+    else:
+        payload["matrix"] = matrix
     _emit(_round_floats(payload), args)
     return 0
 
 
 def cmd_matrix_mindim(args) -> int:
-    d = matrices.min_target_dimension(matrices.load_matrix(args.matrix), args.d_max, args.eps_phase)
+    d = matrices.min_target_dimension(_read_matrix(args.matrix), args.d_max, args.eps_phase)
     _emit({"min_dimension": d, "cv_required": d is None}, args)
     return 0
 
@@ -199,7 +201,7 @@ def cmd_promise_build(args) -> int:
     else:
         if not args.matrix:
             raise DomainError("--matrix is required for qudit and cv targets")
-        matrix = matrices.load_matrix(args.matrix)
+        matrix = _read_matrix(args.matrix)
         perm_set = promise.shift_permutations(matrix.p, matrix.p)
         if args.target == "qudit":
             gates = promise.build_qudit_gates(
@@ -209,15 +211,15 @@ def cmd_promise_build(args) -> int:
             gates = promise.build_cv_gates(matrix, args.column, alpha=args.alpha)
     inst = promise.PromiseInstance(matrix, perm_set, gates, args.column)
     if args.out:
-        promise.save_instance(inst, args.out)
+        wire.save(wire.instance_to_json(inst), args.out)
         _emit({"written": args.out, "column": args.column, "gates": len(gates)}, args)
     else:
-        _emit(_round_floats(promise.instance_to_json(inst)), args)
+        _emit(_round_floats(wire.instance_to_json(inst)), args)
     return 0
 
 
 def cmd_promise_verify(args) -> int:
-    inst = promise.load_instance(args.instance)
+    inst = wire.instance_from_json(wire.load(args.instance, MalformedInstance))
     column = promise.verify_promise(inst, args.eps_phase)
     _emit({"column": column, "claimed_column": inst.claimed_column}, args)
     return 0
@@ -226,16 +228,9 @@ def cmd_promise_verify(args) -> int:
 # --- switch ----------------------------------------------------------------
 
 def cmd_switch_run(args) -> int:
-    inst = promise.load_instance(args.instance)
-    psi = None
-    if args.psi:
-        with open(args.psi, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-                psi = [complex(x[0], x[1]) if isinstance(x, list) else complex(x) for x in raw]
-            except (ValueError, TypeError, IndexError) as exc:
-                raise DomainError(f"psi must be a JSON list of numbers or [re, im] pairs: {exc}") from exc
-    elif args.random_psi is not None:
+    inst = wire.instance_from_json(wire.load(args.instance, MalformedInstance))
+    psi = wire.psi_from_json(wire.load(args.psi, DomainError)) if args.psi else None
+    if args.random_psi is not None:  # --psi and --random-psi are mutually exclusive
         if not isinstance(inst.gates[0], QuditGate):
             raise DomainError("--random-psi applies to qudit instances only")
         rng = np.random.default_rng(args.random_psi)
@@ -243,12 +238,8 @@ def cmd_switch_run(args) -> int:
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi = vec / np.linalg.norm(vec)
     outcome = switch.run_protocol(inst.matrix, inst.perm_set, inst.gates, psi, args.eps_det)
-    payload = {
-        "distribution": [round(x, 12) for x in outcome.distribution],
-        "argmax": outcome.argmax,
-        "deterministic": outcome.deterministic,
-    }
-    _emit(payload, args)
+    _emit({"distribution": [round(x, 12) for x in outcome.distribution], "argmax": outcome.argmax,
+           "deterministic": outcome.deterministic}, args)
     return 0
 
 

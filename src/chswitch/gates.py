@@ -15,12 +15,13 @@ whole promise machinery rests on, so it gets its own consistency tests.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, KindMismatch, MalformedInstance
+from .errors import DimensionMismatch, DomainError, KindMismatch
 from .phaseutil import normalize_radians
 
 
@@ -98,7 +99,10 @@ Gate = Union[WeylOp, QuditGate]
 
 
 def check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
-    perm = tuple(int(i) for i in perm)
+    try:
+        perm = tuple(map(operator.index, perm))
+    except TypeError:
+        raise DomainError(f"ordering {perm!r} must hold integers") from None
     if sorted(perm) != list(range(n)):
         raise DomainError(f"{perm} is not a permutation of 0..{n - 1}")
     return perm
@@ -171,45 +175,3 @@ def phase_ratio(a: Gate, b: Gate, eps: float = 1e-9) -> float | None:
             return None
         return normalize_radians(float(np.angle(c)))
     raise KindMismatch("phase_ratio needs two gates of the same kind")
-
-
-# --- JSON wire format ------------------------------------------------------
-
-def gateset_to_json(gates: Sequence[Gate]) -> dict:
-    kind = gate_kind(gates)
-    if kind == "weyl":
-        return {
-            "kind": "weyl",
-            "gates": [{"theta": g.theta, "beta": g.beta, "gamma": g.gamma} for g in gates],
-        }
-    return {
-        "kind": "qudit",
-        "dim": gates[0].dim,
-        "gates": [
-            [[[float(z.real), float(z.imag)] for z in row] for row in g.matrix]
-            for g in gates
-        ],
-    }
-
-
-def gateset_from_json(obj) -> tuple[Gate, ...]:
-    if not isinstance(obj, dict) or "kind" not in obj or "gates" not in obj:
-        raise KindMismatch("gate set JSON must carry 'kind' and 'gates'")
-    try:
-        if obj["kind"] == "weyl":
-            return tuple(
-                WeylOp(float(g["theta"]), float(g["beta"]), float(g["gamma"]))
-                for g in obj["gates"]
-            )
-        if obj["kind"] == "qudit":
-            dim = int(obj["dim"])
-            out = []
-            for rows in obj["gates"]:
-                m = np.array([[complex(re, im) for re, im in row] for row in rows])
-                out.append(QuditGate(dim, m))
-            return tuple(out)
-    except KeyError as exc:
-        raise MalformedInstance(f"gate JSON missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise MalformedInstance(f"gate JSON is malformed: {exc}") from exc
-    raise KindMismatch(f"unknown gate kind {obj['kind']!r}")

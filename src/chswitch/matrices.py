@@ -11,16 +11,15 @@ encodings are supported:
 * float: ``order`` is ``None`` and the grid holds radians in [0, 2*pi).
 
 Turns (:class:`fractions.Fraction`) appear only at the edge: in
-:meth:`CHMatrix.from_turns`, the ``phases`` view, the JSON format, the
-phases :func:`phase_twirl` takes and the factors :func:`dephase` reports;
-:func:`dephase` itself shifts the grid in its own units. Exact
-orthogonality is decided on the float grams of the dephased grid's
-Galois conjugates (see :func:`validate_ch`).
+:meth:`CHMatrix.from_turns`, the ``phases`` view, the JSON format of
+:mod:`chswitch.wire`, the phases :func:`phase_twirl` takes and the
+factors :func:`dephase` reports; :func:`dephase` itself shifts the grid
+in its own units. Exact orthogonality is decided on the float grams of
+the dephased grid's Galois conjugates (see :func:`validate_ch`).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -396,63 +395,3 @@ def sylvester_hadamard(k: int) -> CHMatrix:
         raise LimitExceeded(f"matrix order 2**{k} exceeds the limit of {MAX_P}", k=k, max_p=MAX_P)
     n = 2**k
     return CHMatrix(2, [[(j & l).bit_count() & 1 for l in range(n)] for j in range(n)])
-
-
-# --- JSON wire format ------------------------------------------------------
-
-def phase_to_json(x: PhaseEntry):
-    """A turn as ``{"num", "den"}``, a radian as a float."""
-    return {"num": x.numerator, "den": x.denominator} if isinstance(x, Fraction) else float(x)
-
-
-def matrix_to_json(m: CHMatrix) -> dict:
-    return {"p": m.p, "rep": m.rep, "phases": [[phase_to_json(x) for x in row] for row in m.phases]}
-
-
-def matrix_from_json(obj) -> CHMatrix:
-    if not isinstance(obj, dict):
-        raise MalformedMatrix("matrix JSON must be an object")
-    try:
-        p = obj["p"]
-        rep = obj["rep"]
-        phases = obj["phases"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedMatrix(f"matrix JSON missing field: {exc}") from exc
-    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-        raise MalformedMatrix("p must be a positive integer")
-    check_order(p)
-    if not isinstance(phases, list) or len(phases) != p or any(
-        not isinstance(row, list) or len(row) != p for row in phases
-    ):
-        raise MalformedMatrix("phases must be a p x p grid")
-    if rep == EXACT:
-        for row in phases:
-            for entry in row:
-                if not isinstance(entry, dict) or set(entry) != {"num", "den"}:
-                    raise MalformedMatrix("exact entries must be {num, den} objects")
-                num, den = entry["num"], entry["den"]
-                if any(isinstance(x, bool) or not isinstance(x, int) for x in (num, den)) or den < 1:
-                    raise MalformedMatrix("exact entries need integer num and positive den")
-        return CHMatrix.from_turns([[Fraction(e["num"], e["den"]) for e in row] for row in phases])
-    if rep == FLOAT:
-        for row in phases:
-            for entry in row:
-                if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                    raise MalformedMatrix("float entries must be numbers (radians)")
-        return CHMatrix.from_radians(phases)
-    raise MalformedMatrix(f"unknown rep {rep!r}")
-
-
-def save_matrix(m: CHMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(m), fh)
-        fh.write("\n")
-
-
-def load_matrix(path) -> CHMatrix:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise MalformedMatrix(f"matrix file is not JSON: {exc}") from exc
-    return matrix_from_json(obj)

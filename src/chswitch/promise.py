@@ -19,7 +19,6 @@ and ``perms[0]`` is always the identity order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +30,6 @@ from .errors import (
     DomainError,
     IncompatibleDimension,
     KindMismatch,
-    MalformedInstance,
     NotButsonError,
     NotDephased,
     PromiseViolation,
@@ -43,8 +41,6 @@ from .gates import (
     WeylOp,
     check_permutation,
     gate_kind,
-    gateset_from_json,
-    gateset_to_json,
     pauli_x,
     pauli_z_power,
     phase_ratio,
@@ -60,8 +56,6 @@ from .matrices import (
     DEFAULT_EPS_PHASE,
     classify_bh,
     f4_family,
-    matrix_from_json,
-    matrix_to_json,
 )
 from .phaseutil import circular_distance
 
@@ -315,46 +309,3 @@ def conjugate_gates(gates: Sequence[Gate], v: QuditGate) -> tuple[QuditGate, ...
     if gates[0].dim != v.dim:
         raise DimensionMismatch(f"gate dimension {gates[0].dim} != conjugator dimension {v.dim}")
     return tuple(QuditGate(v.dim, v.matrix @ g.matrix @ v.matrix.conj().T) for g in gates)
-
-
-# --- JSON wire format ------------------------------------------------------
-
-def instance_to_json(inst: PromiseInstance) -> dict:
-    return {
-        "matrix": matrix_to_json(inst.matrix),
-        "perms": [list(pm) for pm in inst.perm_set.perms],
-        "gates": gateset_to_json(inst.gates),
-        "claimed_column": inst.claimed_column,
-    }
-
-
-def instance_from_json(obj) -> PromiseInstance:
-    if not isinstance(obj, dict):
-        raise MalformedInstance("instance JSON must be an object")
-    try:
-        matrix = matrix_from_json(obj["matrix"])
-        perm_set = PermutationSet(tuple(tuple(pm) for pm in obj["perms"]))
-        gates = gateset_from_json(obj["gates"])
-    except KeyError as exc:
-        raise MalformedInstance(f"instance JSON missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise MalformedInstance(f"instance JSON is malformed: {exc}") from exc
-    claimed = obj.get("claimed_column")
-    if claimed is not None and (isinstance(claimed, bool) or not isinstance(claimed, int)):
-        raise MalformedInstance("claimed_column must be an integer or null")
-    return PromiseInstance(matrix, perm_set, gates, claimed)
-
-
-def save_instance(inst: PromiseInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_json(inst), fh)
-        fh.write("\n")
-
-
-def load_instance(path) -> PromiseInstance:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise MalformedInstance(f"instance file is not JSON: {exc}") from exc
-    return instance_from_json(obj)

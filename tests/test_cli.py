@@ -1,5 +1,6 @@
 """End-to-end command-line behavior through files and JSON/CSV outputs."""
 
+import copy
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import chswitch
 from chswitch.cli import main
 from chswitch.gates import WeylOp
 from chswitch.matrices import fourier
-from chswitch.promise import PromiseInstance, save_instance, shift_permutations
+from chswitch.promise import PromiseInstance, build_cv_gates, build_qudit_gates, shift_permutations
+from chswitch.wire import instance_to_json, save
 
 
 def run_cli(capsys, *argv):
@@ -275,6 +277,24 @@ def test_scs_budget_argument(capsys, argv, code):
         assert out.startswith("N,p,combos")
 
 
+# Valid instances of Fourier-3 (cv gates) and Fourier-2 (qudit gates),
+# for column 1, that the error inputs below change in one place.
+CV3 = instance_to_json(PromiseInstance(
+    fourier(3), shift_permutations(3, 3), build_cv_gates(fourier(3), 1), 1))
+QUDIT2 = instance_to_json(PromiseInstance(
+    fourier(2), shift_permutations(2, 2), build_qudit_gates(fourier(2), 1), 1))
+
+
+def _edited(doc, path, value):
+    """A copy of ``doc`` whose entry at ``path`` (keys and indices) is ``value``."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
 # Inputs written by test_cli_error_contract; "{dir}" in an argv is tmp_path.
 ERROR_INPUTS = {
     "no_matrix.json": {"perms": [[0, 1]], "gates": {"kind": "weyl", "gates": []}},
@@ -300,9 +320,26 @@ ERROR_INPUTS = {
         [{"num": 0, "den": 1}, {"num": 0, "den": 1}],
         [{"num": 0, "den": 1}, {"num": 2**69 + 1, "den": 2**70}],
     ]},
+    # numbers a reader must refuse: strings, booleans, non-finite reals, non-integers
+    "theta_nan_str.json": _edited(CV3, ("gates", "gates", 0, "theta"), "nan"),
+    "qudit_gate_nan.json": _edited(QUDIT2, ("gates", "gates", 0, 0, 0, 0), float("nan")),
+    "beta_inf_str.json": _edited(CV3, ("gates", "gates", 1, "beta"), "Infinity"),
+    "beta_true.json": _edited(CV3, ("gates", "gates", 1, "beta"), True),
+    "perms_float.json": _edited(CV3, ("perms",), [[0, 1, 2], [1.9, 0, 2], [1, 2.2, 0]]),
+    "perms_bool.json": _edited(QUDIT2, ("perms",), [[False, True], [True, False]]),
+    "dim_float.json": _edited(QUDIT2, ("gates", "dim"), 2.7),
+    "dim_str.json": _edited(QUDIT2, ("gates", "dim"), "2"),
+    "qudit2.json": QUDIT2,
+    "psi_nan.json": [[1, 0], [float("nan"), 0]],
+    "psi_str.json": ["1", "0"],
+    "psi_bool.json": [True, False],
+    "psi_triple.json": [[1, 0, 5], [0, 0]],
+    # gate 0 of QUDIT2 no longer unitary: it sends |0> to 0
+    "qudit_gate_zero.json": _edited(QUDIT2, ("gates", "gates", 0, 1, 0, 0), 0),
+    "float_phase_huge_int.json": {"p": 1, "rep": "float", "phases": [[10**400]]},
 }
-# Written by save_instance: displacements whose float sums depend on the
-# order, so the switch branches carry different displacements.
+# Written by save(instance_to_json(...)): displacements whose float sums
+# depend on the order, so the switch branches carry different displacements.
 BRANCH_MISMATCH = PromiseInstance(
     fourier(3), shift_permutations(3, 3), (WeylOp(0, 1e17, 0), WeylOp(0, -1e17, 0), WeylOp(0, 1, 0))
 )
@@ -384,12 +421,32 @@ BRANCH_MISMATCH = PromiseInstance(
         (["scs", "census", "--n", "2000", "--p", "2"], 1, "limit_exceeded"),
         (["scs", "census", "--n", "12", "--p", "2", "--sample", "1"], 1, "limit_exceeded"),
         (["switch", "run", "--instance", "{dir}/bad_gate.json", "--sample", "7"], 2, "--sample"),
+        # one decoding rule for every file (chswitch.wire)
+        (["switch", "run", "--instance", "{dir}/theta_nan_str.json"], 1, "malformed_instance"),
+        (["promise", "verify", "--instance", "{dir}/theta_nan_str.json"], 1, "malformed_instance"),
+        (["switch", "run", "--instance", "{dir}/qudit_gate_nan.json"], 1, "malformed_instance"),
+        (["switch", "run", "--instance", "{dir}/beta_inf_str.json"], 1, "malformed_instance"),
+        (["switch", "run", "--instance", "{dir}/beta_true.json"], 1, "malformed_instance"),
+        (["promise", "verify", "--instance", "{dir}/perms_float.json"], 1, "malformed_instance"),
+        (["promise", "verify", "--instance", "{dir}/perms_bool.json"], 1, "malformed_instance"),
+        (["switch", "run", "--instance", "{dir}/dim_float.json"], 1, "malformed_instance"),
+        (["switch", "run", "--instance", "{dir}/dim_str.json"], 1, "malformed_instance"),
+        (["switch", "run", "--instance", "{dir}/qudit2.json", "--psi", "{dir}/psi_nan.json"], 1,
+         "domain_error"),
+        (["switch", "run", "--instance", "{dir}/qudit2.json", "--psi", "{dir}/psi_str.json"], 1,
+         "domain_error"),
+        (["switch", "run", "--instance", "{dir}/qudit2.json", "--psi", "{dir}/psi_bool.json"], 1,
+         "domain_error"),
+        (["switch", "run", "--instance", "{dir}/qudit2.json", "--psi", "{dir}/psi_triple.json"], 1,
+         "domain_error"),
+        (["switch", "run", "--instance", "{dir}/qudit_gate_zero.json"], 1, "malformed_instance"),
+        (["matrix", "validate", "{dir}/float_phase_huge_int.json"], 1, "malformed_matrix"),
     ],
 )
 def test_cli_error_contract(tmp_path, capsys, argv, code, expect):
     for name, obj in ERROR_INPUTS.items():
         (tmp_path / name).write_text(json.dumps(obj))
-    save_instance(BRANCH_MISMATCH, tmp_path / "branch_mismatch.json")
+    save(instance_to_json(BRANCH_MISMATCH), tmp_path / "branch_mismatch.json")
     got, out, err = run_cli(capsys, *[a.replace("{dir}", str(tmp_path)) for a in argv])
     assert got == code
     assert "Traceback" not in err
@@ -399,6 +456,13 @@ def test_cli_error_contract(tmp_path, capsys, argv, code, expect):
         assert json.loads(err)["code"] == expect and out == ""
     else:
         assert err == "" and out
+
+
+def test_file_nested_too_deep_is_an_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "matrix", "validate", str(path))
+    assert code == 1 and out == "" and json.loads(err)["code"] == "malformed_matrix"
 
 
 def test_module_entry_point_exit_codes(tmp_path):

@@ -10,8 +10,6 @@ from chswitch.errors import DimensionMismatch, DomainError, KindMismatch
 from chswitch.gates import (
     QuditGate,
     WeylOp,
-    gateset_from_json,
-    gateset_to_json,
     pauli_x,
     pauli_z_power,
     phase_ratio,
@@ -21,6 +19,7 @@ from chswitch.gates import (
     weyl_z,
 )
 from chswitch.phaseutil import TAU, circular_distance
+from chswitch.wire import gateset_from_json, gateset_to_json
 
 
 def random_unitary(dim, rng):

@@ -4,9 +4,9 @@ Each case runs one ``chswitch`` command in-process and compares its exit
 code and stdout with the files under ``tests/golden/``. The matrices and
 instances the cases read are built first by the setup commands below,
 plus exact matrices that no ``matrix gen`` family produces, written by
-``save_matrix``: twirled Fourier matrices with exact row and column
-phases, and a 2x2 grid whose float gram passes but whose rows are not
-orthogonal.
+``save(matrix_to_json(m), path)``: twirled Fourier matrices with exact
+row and column phases, and a 2x2 grid whose float gram passes but whose
+rows are not orthogonal.
 A change that alters one of these outputs on purpose regenerates them
 with ``PYTHONPATH=src python tests/test_golden_cli.py`` and says so.
 """
@@ -24,7 +24,8 @@ from pathlib import Path
 import pytest
 
 from chswitch.cli import main
-from chswitch.matrices import CHMatrix, fourier, phase_twirl, save_matrix
+from chswitch.matrices import CHMatrix, fourier, phase_twirl
+from chswitch.wire import matrix_to_json, save
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -135,9 +136,11 @@ def _setup(directory) -> None:
         if code != 0:
             raise RuntimeError(f"setup command failed with exit {code}: {argv}")
     directory = Path(directory)
-    save_matrix(phase_twirl(fourier(6), TWIRL_ROWS, TWIRL_COLS), directory / "twirled_fourier6.json")
-    save_matrix(phase_twirl(fourier(9), TWIRL9_ROWS, TWIRL9_COLS), directory / "twirled_fourier9.json")
-    save_matrix(CHMatrix.from_turns(NOT_ORTHOGONAL_37), directory / "not_orthogonal_37.json")
+    save(matrix_to_json(phase_twirl(fourier(6), TWIRL_ROWS, TWIRL_COLS)),
+         directory / "twirled_fourier6.json")
+    save(matrix_to_json(phase_twirl(fourier(9), TWIRL9_ROWS, TWIRL9_COLS)),
+         directory / "twirled_fourier9.json")
+    save(matrix_to_json(CHMatrix.from_turns(NOT_ORTHOGONAL_37)), directory / "not_orthogonal_37.json")
 
 
 @pytest.fixture(scope="module")

@@ -30,8 +30,6 @@ from chswitch.errors import LimitExceeded
 from chswitch.gates import (
     QuditGate,
     WeylOp,
-    gateset_from_json,
-    gateset_to_json,
     product_in_order,
     weyl_compose,
 )
@@ -44,8 +42,6 @@ from chswitch.matrices import (
     dephase,
     f4_family,
     fourier,
-    matrix_from_json,
-    matrix_to_json,
     phase_twirl,
     sylvester_hadamard,
     validate_ch,
@@ -56,12 +52,18 @@ from chswitch.promise import (
     build_cv_gates,
     build_minimal_ch4,
     build_qudit_gates,
-    instance_from_json,
-    instance_to_json,
     shift_permutations,
     verify_promise,
 )
 from chswitch.switch import apply_switch, run_protocol
+from chswitch.wire import (
+    gateset_from_json,
+    gateset_to_json,
+    instance_from_json,
+    instance_to_json,
+    matrix_from_json,
+    matrix_to_json,
+)
 
 FEW = settings(derandomize=True, max_examples=30, deadline=None)
 

@@ -17,8 +17,6 @@ from chswitch.matrices import (
     dephase,
     f4_family,
     fourier,
-    matrix_from_json,
-    matrix_to_json,
     min_target_dimension,
     phase_twirl,
     sylvester_hadamard,
@@ -26,6 +24,7 @@ from chswitch.matrices import (
 )
 from chswitch.phaseutil import TAU, circular_distance
 from chswitch.promise import build_qudit_gates
+from chswitch.wire import matrix_from_json, matrix_to_json
 
 A_IRRATIONAL = (2 * math.pi / math.sqrt(2)) % math.pi
 

@@ -33,12 +33,11 @@ from chswitch.promise import (
     build_minimal_ch4,
     build_qudit_gates,
     conjugate_gates,
-    instance_from_json,
-    instance_to_json,
     shift_permutations,
     verify_promise,
 )
 from chswitch.switch import run_protocol
+from chswitch.wire import instance_from_json, instance_to_json
 
 A_IRRATIONAL = (2 * math.pi / math.sqrt(2)) % math.pi
 
@@ -81,6 +80,9 @@ def test_permutation_set_constraints():
         PermutationSet(((0, 1), (0, 1)))  # distinct
     with pytest.raises(DomainError):
         PermutationSet(((0, 1), (1, 2)))  # not a permutation
+    with pytest.raises(DomainError):
+        PermutationSet(((0, 1), (1.9, 0.2)))  # not integers, so not truncated to (1, 0)
+    assert PermutationSet(((0, 1), np.array([1, 0]))).perms == ((0, 1), (1, 0))  # numpy ints pass
 
 
 # --- continuous-variable builder --------------------------------------------
